@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
+.PHONY: all build test race lockbench lockbench-test bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
 
 all: build
 
@@ -19,6 +19,24 @@ test:
 race:
 	$(GO) test -race ./internal/latch ./internal/lockmgr ./internal/memblock \
 		./internal/engine ./internal/obs ./internal/trace ./internal/txn
+
+# lockbench runs the lock-path benchmark (lockbench/README.md) on this
+# checkout — one workload, seed, run length in seconds and trace setting:
+#   make lockbench WORKLOAD=oltp-ramp SEED=1 SECONDS=20 TRACE=0
+# Workloads: oltp-ramp, commit-storm, hotkey-queue, readmostly-scan.
+WORKLOAD ?= oltp-ramp
+SEED ?= 1
+SECONDS ?= 20
+TRACE ?= 0
+
+lockbench:
+	bash lockbench/run.sh --workload $(WORKLOAD) --seed $(SEED) \
+		--seconds $(SECONDS) --trace $(TRACE)
+
+# lockbench-test runs the benchmark's self-tests; lockbench is its own
+# module, so the root `go test ./...` does not reach them.
+lockbench-test:
+	cd lockbench && $(GO) test ./...
 
 bench: bench-lock
 
@@ -204,12 +222,12 @@ obs-demo: build
 	wait $$pid
 
 # verify is the tier-1 gate (see ROADMAP.md): formatting, vet, build, the
-# full test suite, the race-detector pass over the concurrency-sensitive
-# packages, and one-iteration smoke runs of the read-path benches, the
-# group-release commit path, the contention profiler's live endpoints,
-# the spin-then-park latch counters on /metrics, and the admission
-# throttle's cull/reactivate accounting.
-verify: fmt vet build test race smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
+# full test suite, the lock-path benchmark's self-tests, the race-detector
+# pass over the concurrency-sensitive packages, and one-iteration smoke
+# runs of the read-path benches, the group-release commit path, the
+# contention profiler's live endpoints, the spin-then-park latch counters
+# on /metrics, and the admission throttle's cull/reactivate accounting.
+verify: fmt vet build test lockbench-test race smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -395,15 +395,18 @@ func (l *Latch) park() {
 	// waiter pays. The win counts as a spin hit (contended acquire, no
 	// park) but stays out of the winTries/winWins window: the budget
 	// controller's success rate must reflect budgeted spinning only.
-	runtime.Gosched()
-	for {
-		w := l.word.Load()
-		if w&lockedBit != 0 {
-			break
-		}
-		if l.word.CompareAndSwap(w, w|lockedBit) {
-			l.spinHits.Add(1)
-			return
+	// A budget fixed at 0 means park immediately, so it skips the tier.
+	if !l.fixed.Load() || l.budget.Load() > 0 {
+		runtime.Gosched()
+		for {
+			w := l.word.Load()
+			if w&lockedBit != 0 {
+				break
+			}
+			if l.word.CompareAndSwap(w, w|lockedBit) {
+				l.spinHits.Add(1)
+				return
+			}
 		}
 	}
 	l.parks.Add(1)

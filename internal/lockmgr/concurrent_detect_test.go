@@ -116,7 +116,11 @@ func TestDetectStressNoFalseVictims(t *testing.T) {
 	stop := make(chan struct{})
 	var detPasses atomic.Int64
 
+	// Teardown runs from t.Cleanup too, so a failing run cannot leak the
+	// detector goroutine into later tests.
 	var detWG sync.WaitGroup
+	stopDetector := sync.OnceFunc(func() { close(stop); detWG.Wait() })
+	t.Cleanup(stopDetector)
 	detWG.Add(1)
 	go func() {
 		defer detWG.Done()
@@ -162,8 +166,7 @@ func TestDetectStressNoFalseVictims(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	detWG.Wait()
+	stopDetector()
 
 	if detPasses.Load() == 0 {
 		t.Fatal("detector never completed a pass")
@@ -187,7 +190,12 @@ func TestDetectStressInjectedCycles(t *testing.T) {
 
 	stop := make(chan struct{})
 	ctx := context.Background()
+	// The churn is stopped from t.Cleanup as well: a t.Fatalf in the cycle
+	// loop below must not leave churn goroutines running into later tests
+	// (they would race those tests' package-level hooks).
 	var churnWG sync.WaitGroup
+	stopChurn := sync.OnceFunc(func() { close(stop); churnWG.Wait() })
+	t.Cleanup(stopChurn)
 	for w := 0; w < 4; w++ {
 		churnWG.Add(1)
 		go func(w int) {
@@ -242,8 +250,7 @@ func TestDetectStressInjectedCycles(t *testing.T) {
 		mustGrant(t, p1, fmt.Sprintf("cycle %d survivor", c))
 		m.ReleaseAll(o1)
 	}
-	close(stop)
-	churnWG.Wait()
+	stopChurn()
 
 	// Every denial must belong to an injected cycle; churn is acyclic.
 	if got, want := m.Stats().Deadlocks, int64(cycles); got != want {

@@ -1,11 +1,5 @@
 package lockmgr
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
-
 // Lock escalation (paper sections 1 and 2.2): when lock memory is
 // constrained, or an application exceeds lockPercentPerApplication, the
 // manager promotes the application's row locks on one table to a single
@@ -75,8 +69,8 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 	}
 	if m.flight != nil {
 		tn := victimOT.tableReq.name
-		m.flightAdd(m.shardOf(tn), trace.KindEscalation, o.app.id,
-			fmt.Sprintf("%s to=%s owner=%d", tn, target, o.id))
+		m.flightAdd(m.shardOf(tn), flightRec{form: flightEscalation, app: o.app.id,
+			name: tn, mode: target, owner: o.id})
 	}
 
 	if parked != nil {
@@ -86,9 +80,9 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 		// so the wait histogram includes escalation stalls (the counter in
 		// stats.waits is deliberately not bumped — parked requests are
 		// retried, not queued behind a lock). Parked requests join the
-		// waiting set, so they are ever-queued (never box-recycled) and
+		// waiting set, so they are escaped (never box-recycled) and
 		// count in the owner's inWait gauge — once, even across re-parks.
-		parked.everQueued = true
+		parked.escaped = true
 		parked.owner.everWaited = true
 		if parked.waitStart.IsZero() {
 			parked.owner.inWait.Add(1)

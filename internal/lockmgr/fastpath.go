@@ -87,7 +87,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // Grant-word field layout.
@@ -403,10 +402,12 @@ func (m *Manager) quotaFastCached(app *App, weight int) bool {
 	return float64(app.structs.Load()+int64(weight)) <= limit
 }
 
-// grantedSingleton is the pre-completed Pending returned by owner-local
-// re-acquire cache hits: the grant is decided before any shared state is
-// touched, so all hits share one terminal Pending (Status/Done are safe on
-// a completed Pending from any number of goroutines).
+// grantedSingleton is the pre-completed Pending AcquireAsync returns for
+// every request granted before it returns — owner-local re-acquire cache
+// hits, grant-word CAS admissions, and synchronous latched or global
+// grants alike — so a grant hands out no Pending of its own. Status and
+// Done are safe on a completed Pending from any number of goroutines, and
+// complete is a no-op on it.
 var grantedSingleton = func() *Pending {
 	p := newPending()
 	p.complete(StatusGranted, nil)
@@ -419,7 +420,7 @@ var grantedSingleton = func() *Pending {
 // generates), then through a CAS on the home header's grant word. It
 // returns the completed Pending on success and nil when the request must
 // take the latched path. It mutates nothing when it returns nil.
-func (m *Manager) tryFastAcquire(o *Owner, name Name, mode Mode, weight int, hash uint64, si int, recyclable, sampled bool) *Pending {
+func (m *Manager) tryFastAcquire(o *Owner, name Name, mode Mode, weight int, hash uint64, si int, sampled bool) *Pending {
 	s := &m.shards[si]
 	// Gate entry before any state is read (Dekker pairing with runGlobal:
 	// either we see the raised gate here, or runGlobal's drain waits for
@@ -429,12 +430,12 @@ func (m *Manager) tryFastAcquire(o *Owner, name Name, mode Mode, weight int, has
 		s.fastOps.Add(-1)
 		return nil
 	}
-	p := m.fastAcquireGated(o, name, mode, weight, hash, si, s, recyclable, sampled)
+	p := m.fastAcquireGated(o, name, mode, weight, hash, si, s, sampled)
 	s.fastOps.Add(-1)
 	return p
 }
 
-func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, hash uint64, si int, s *shard, recyclable, sampled bool) *Pending {
+func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, hash uint64, si int, s *shard, sampled bool) *Pending {
 	o.mu.Lock()
 	if o.released {
 		o.mu.Unlock()
@@ -522,10 +523,7 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 		nw = nw&^(wordSeqMask<<wordSeqShift) | (e&wordSeqMask)<<wordSeqShift
 	}
 	o.markTouched(si)
-	box, _ := m.fastBoxPool.Get().(*requestAndPending)
-	if box == nil {
-		box = &requestAndPending{}
-	}
+	box := m.newBox()
 	req := &box.req
 	req.owner = o
 	req.header = h
@@ -534,13 +532,13 @@ func (m *Manager) fastAcquireGated(o *Owner, name Name, mode Mode, weight int, h
 	req.weight = weight
 	req.granted = true
 	req.fastLeased = true
-	req.recyclable = recyclable
 	req.obsSampled = sampled
 	req.box = box
 	// The box's Pending is left untouched (req.pending stays nil, as it
-	// would be after m.grant): the outcome is decided right here, so the
-	// caller gets the shared pre-completed singleton and the recycler's
-	// reset of the pristine Pending is free.
+	// would be after m.grant) and never escapes: the outcome is decided
+	// right here, so the caller gets the shared pre-completed singleton,
+	// the box always recycles at release, and the recycler's reset of the
+	// pristine Pending is free.
 	if sampled {
 		req.grantedAt = time.Now()
 	}
@@ -621,8 +619,8 @@ func (m *Manager) fastReleaseGated(o *Owner, name Name, si int, s *shard) bool {
 		m.holdHist.RecordStripe(si, held)
 		req.grantedAt = time.Time{}
 		if m.flight != nil {
-			m.flightAdd(si, trace.KindRelease, o.app.id,
-				fmt.Sprintf("%s mode=%s owner=%d held=%s (fast)", req.name, req.mode, o.id, time.Duration(held)))
+			m.flightAdd(si, flightRec{form: flightFastRelease, app: o.app.id,
+				name: req.name, mode: req.mode, owner: o.id, n: held})
 		}
 	}
 	h.removeGranted(o)

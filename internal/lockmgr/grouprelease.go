@@ -5,11 +5,13 @@ package lockmgr
 // A quiesced commit detaches its whole held set from the owner's indexes
 // in one o.mu section (collectDetach) and then visits each touched shard.
 // On a quiet shard it latches and applies its batch directly — the same
-// single latch acquisition the touched-shard walk always paid. On a
-// storming shard (armed by real commit-side latch contention, and kept
-// armed by multi-batch drains) the visit does NOT latch at all: it copies
-// the shard's entries into a dedicated pooled batch and publishes it on
-// the shard's MPSC staging list, fire-and-forget. Staged batches are pure
+// single latch acquisition the touched-shard walk always paid; so does a
+// shard with waiters, since ReleaseAll grants the waiters queued behind
+// its locks before it returns. On a storming shard without waiters (armed
+// by real commit-side latch contention, and kept armed by multi-batch
+// drains) the visit does NOT latch at all: it copies the shard's entries
+// into a dedicated pooled batch and publishes it on the shard's MPSC
+// staging list, fire-and-forget. Staged batches are pure
 // intent — the lock table, grant words, quotas, and every invariant still
 // describe the locks as held — so nothing needs to wait for them.
 //
@@ -134,25 +136,31 @@ type releaseDrain struct {
 }
 
 // releaseShardGrouped is one quiesced commit's visit to shard si: latch
-// and apply directly when the shard is quiet, publish a detached batch on
-// the staging list when it is storming. b carries the owner's detached
-// snapshot (collectDetach ran under o.mu); d accumulates deferred wakeups
-// for the caller's post-walk pass.
+// and apply directly when the shard is quiet or has waiters, publish a
+// detached batch on the staging list when it is storming. b carries the
+// owner's detached snapshot (collectDetach ran under o.mu); d accumulates
+// deferred wakeups for the caller's post-walk pass.
+//
+// A shard with waiters is never staged on: any of them may be queued
+// behind this batch, and ReleaseAll promises that such a waiter is granted
+// before it returns. Applying the batch here puts those grants in d, whose
+// wakes the walk fires before returning; a staged batch would leave them
+// to a leader's later wake pass. A waiter that enqueues after the
+// nWaiting load is no such promise's concern — its enqueueWaiter re-check
+// drains the staged batch under its own latch.
 func (m *Manager) releaseShardGrouped(si int, o *Owner, b *releaseBatch, d *releaseDrain) {
 	s := &m.shards[si]
+	if s.nWaiting.Load() > 0 {
+		m.lockShard(si)
+		m.applyLatched(s, si, o, b, d)
+		return
+	}
 	if s.relStorm.Load() == 0 && s.relHead.Load() == nil {
 		if _, ok := m.tryLockShard(si); ok {
 			// Quiet shard: a group of one. A batch staged between the
 			// list check and the TryLock (a racing commit that failed
 			// its own TryLock against us) is drained here too.
-			m.releaseShardPhase1(s, si, o, b, true, d)
-			m.relBatches.Shard(si).Inc()
-			// No relCond broadcast for batches drained here: stagers only
-			// park while a relFlush leader is active, and that leader
-			// broadcasts when it finishes.
-			m.drainStagedLocked(s, si, d)
-			m.finishShardVisit(s, si, d)
-			m.unlockShard(s)
+			m.applyLatched(s, si, o, b, d)
 			return
 		}
 		// Contended commit-side acquire. The failed TryLock just recorded
@@ -207,6 +215,19 @@ func (m *Manager) releaseShardGrouped(si int, o *Owner, b *releaseBatch, d *rele
 		}
 	}
 	m.flushWaits.Shard(si).Inc()
+}
+
+// applyLatched applies the owner's batch and everything staged on the
+// shard under the shard latch, which the caller has taken, and drops it.
+func (m *Manager) applyLatched(s *shard, si int, o *Owner, b *releaseBatch, d *releaseDrain) {
+	m.releaseShardPhase1(s, si, o, b, true, d)
+	m.relBatches.Shard(si).Inc()
+	// No relCond broadcast for batches drained here: stagers only park
+	// while a relFlush leader is active, and that leader broadcasts when
+	// it finishes.
+	m.drainStagedLocked(s, si, d)
+	m.finishShardVisit(s, si, d)
+	m.unlockShard(s)
 }
 
 // maybeFlushShard is the commit walk's flush trigger, run per touched

@@ -36,11 +36,13 @@ func stormRowsInShard(m *Manager, table uint32, n int) (int, []uint64) {
 	return si, rows
 }
 
-// TestGroupReleaseFIFOOrder: the storm path must preserve per-lock FIFO.
-// Every release in the chain goes through staging (the shard is re-armed
-// before each one), so each waiter's grant is produced by a flush leader
-// applying a staged batch — and the observed grant sequence must still
-// match the enqueue order exactly.
+// TestGroupReleaseFIFOOrder: a storming shard must preserve per-lock FIFO.
+// The shard is re-armed before every release in the chain, but every
+// release except the last finds waiters queued, so it applies its batch
+// directly instead of staging it (ReleaseAll grants the waiters behind it
+// before returning). Only the last batch may be staged, wakeups still
+// coalesce into each walk's wake pass, and the observed grant sequence
+// must match the enqueue order exactly.
 func TestGroupReleaseFIFOOrder(t *testing.T) {
 	const waiters = 32
 	m := newMgr(Config{})
@@ -91,8 +93,52 @@ func TestGroupReleaseFIFOOrder(t *testing.T) {
 		}
 	}
 	if m.WakeupsCoalesced() == 0 {
-		t.Fatal("no wakeups were coalesced — the storm path never engaged")
+		t.Fatal("no wakeups were coalesced")
 	}
+	// Only the chain's last release, which finds no waiter left, stages.
+	if n := m.FlushFollowerWaits(); n > 1 {
+		t.Fatalf("%d releases staged, want at most the last one", n)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseAllGrantsWaitersBeforeReturn pins ReleaseAll's post-condition
+// on a storming shard: a waiter queued behind the released lock is
+// granted by the time ReleaseAll returns, even while another flush leader
+// is active. The active leader is simulated by holding the flush word; a
+// commit that staged its batch would have to leave the grant to that
+// leader.
+func TestReleaseAllGrantsWaitersBeforeReturn(t *testing.T) {
+	m := newMgr(Config{})
+	app := m.RegisterApp()
+	row := RowName(1, 1)
+	s := &m.shards[m.ShardOf(row)]
+
+	holder, waiter := m.NewOwner(app), m.NewOwner(app)
+	mustGrant(t, m.AcquireAsync(holder, row, ModeX, 1), "holder X")
+	p := m.AcquireAsync(waiter, row, ModeX, 1)
+	mustWait(t, p, "waiter")
+
+	s.relStorm.Store(relStormArm)
+	s.relFlush.Store(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.FinishOwner(holder)
+		if st, err := p.Status(); st != StatusGranted {
+			t.Errorf("waiter when ReleaseAll returned: status=%v err=%v", st, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("ReleaseAll waited for the active flush leader")
+	}
+	s.relFlush.Store(0)
+	<-done
+	m.FinishOwner(waiter)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package lockmgr
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -138,8 +139,38 @@ func (m *Manager) CheckInvariants() error {
 	return err
 }
 
+// zeroed reports whether the box is in the state recycleBox leaves it in:
+// a zero request and a waiting Pending that never made its Done channel.
+func (b *requestAndPending) zeroed() bool {
+	p := &b.pend
+	return reflect.ValueOf(&b.req).Elem().IsZero() &&
+		Status(p.status.Load()) == StatusWaiting && p.err == nil &&
+		!p.hasDone.Load() && p.done == nil && !p.closed
+}
+
 // checkInvariantsLocked does the work. Caller holds all shard latches.
 func (m *Manager) checkInvariantsLocked() error {
+	// Box caches: every cached request box is zeroed (recycleBox cleared
+	// it) and sits in exactly one shard cache; the table loop below checks
+	// that no live request uses one. A box is cached only once its request
+	// was released without its Pending ever escaping, and leaves the cache
+	// only by being popped for a new request.
+	cached := make(map[*requestAndPending]bool)
+	for i := range m.shards {
+		s := &m.shards[i]
+		if got := int(s.rfreeN.Load()); got != len(s.rfree) {
+			return fmt.Errorf("lockmgr: shard %d box cache mirror %d, cache holds %d", i, got, len(s.rfree))
+		}
+		for _, b := range s.rfree {
+			if cached[b] {
+				return fmt.Errorf("lockmgr: shard %d box cached twice", i)
+			}
+			cached[b] = true
+			if !b.zeroed() {
+				return fmt.Errorf("lockmgr: shard %d cached box not zeroed", i)
+			}
+		}
+	}
 	appStructs := make(map[int]int)
 	inWait := make(map[*Owner]int)
 	liveCulled, reactInFlight := 0, 0
@@ -219,6 +250,10 @@ func (m *Manager) checkInvariantsLocked() error {
 			h.eachGranted(func(g *request) bool {
 				if !g.granted {
 					grantErr = fmt.Errorf("lockmgr: %v non-granted request in granted group", name)
+					return false
+				}
+				if cached[g.box] {
+					grantErr = fmt.Errorf("lockmgr: %v holder's box is in a box cache", name)
 					return false
 				}
 				holders = append(holders, g)
@@ -307,8 +342,11 @@ func (m *Manager) checkInvariantsLocked() error {
 			if req.culled {
 				waitingCulled++
 			}
-			if !req.everQueued {
-				return fmt.Errorf("lockmgr: shard %d waiting request on %v not marked everQueued", i, req.name)
+			if !req.escaped {
+				return fmt.Errorf("lockmgr: shard %d waiting request on %v not marked escaped", i, req.name)
+			}
+			if cached[req.box] {
+				return fmt.Errorf("lockmgr: shard %d waiting request on %v uses a cached box", i, req.name)
 			}
 			if !req.owner.isTouched(i) {
 				return fmt.Errorf("lockmgr: owner %d waits in shard %d without touched bit", req.owner.id, i)

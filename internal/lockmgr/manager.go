@@ -109,7 +109,6 @@ import (
 	"repro/internal/memblock"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Errors returned to lock requesters.
@@ -224,11 +223,10 @@ func (p *Pending) complete(st Status, err error) {
 }
 
 // reset returns a Pending to its zero (waiting) state for box recycling.
-// The caller must own the Pending exclusively: ReleaseAll only resets boxes
-// whose blocking Acquire returned before the commit (happens-before via the
-// owner's single-goroutine contract) and that never entered a wait queue.
-// Assigning the struct wholesale would copy dmu, so fields are cleared
-// individually.
+// The caller must own the Pending exclusively: recycleBox only resets the
+// Pendings of boxes that never escaped (request.escaped), which no caller
+// or other goroutine ever saw. Assigning the struct wholesale would copy
+// dmu, so fields are cleared individually.
 func (p *Pending) reset() {
 	// The caller has exclusive ownership, but the fields stay atomics for
 	// the concurrent phases of the Pending's life — so skip the relatively
@@ -388,6 +386,10 @@ type Owner struct {
 	ot0tid  uint32
 	ot0     ownerTable
 	byTable map[uint32]*ownerTable // nil until a second table appears
+	// otFree holds the spilled per-table indexes of earlier transactions
+	// (reset, spill maps kept), reused by tableOrCreate across owner
+	// reuse; byTable itself is kept empty rather than dropped.
+	otFree []*ownerTable
 
 	// touched is the owner's touched-shard set: bit i is set (under mu, at
 	// admission time) before any of this owner's requests can exist in
@@ -412,7 +414,7 @@ type Owner struct {
 	// snapshot is complete and no cancel sweep is needed.
 	inWait atomic.Int32
 
-	// obsTick is the owner-local admission-sampling counter: acquireAsync
+	// obsTick is the owner-local admission-sampling counter: AcquireAsync
 	// samples one in obsSampler.Stride() of this owner's acquisitions. A
 	// plain field, touched only by the owner's requesting goroutine (the
 	// documented single-goroutine contract) — striping the sampler by
@@ -501,9 +503,31 @@ func (o *Owner) tableOrCreate(tid uint32) *ownerTable {
 	if o.byTable == nil {
 		o.byTable = make(map[uint32]*ownerTable)
 	}
-	ot := &ownerTable{}
+	var ot *ownerTable
+	if n := len(o.otFree); n > 0 {
+		ot = o.otFree[n-1]
+		o.otFree[n-1] = nil
+		o.otFree = o.otFree[:n-1]
+	} else {
+		ot = &ownerTable{}
+	}
 	o.byTable[tid] = ot
 	return ot
+}
+
+// resetIndexes empties the owner's held and per-table indexes, keeping
+// their spill storage — the held and row spill maps, the byTable map and
+// its ownerTables — for the owner's next transaction. Caller holds o.mu
+// or owns the owner exclusively.
+func (o *Owner) resetIndexes() {
+	o.held.reset()
+	o.ot0used, o.ot0tid = false, 0
+	o.ot0.reset()
+	for tid, ot := range o.byTable {
+		ot.reset()
+		o.otFree = append(o.otFree, ot)
+		delete(o.byTable, tid)
+	}
 }
 
 // eachTable calls f for every per-table index until f returns false.
@@ -556,14 +580,21 @@ type heldEntry struct {
 
 // heldSet indexes one owner's granted requests by name: a small array for
 // the common case, spilling to a map once the owner exceeds heldSmallMax
-// locks (it never shrinks back; the owner is discarded at ReleaseAll). The
-// zero value is ready to use. Guarded by the owner's mu like the map it
-// replaces.
+// locks (it never shrinks back within a transaction). The zero value is
+// ready to use. Guarded by the owner's mu like the map it replaces.
 type heldSet struct {
 	arr [heldSmallMax]heldEntry // inline: no allocation for small owners
 	n   int
 	m   map[Name]*request // nil until spill
+	// spare is a cleared spill map kept across owner reuse (reset), so a
+	// recycled owner that spills again allocates nothing.
+	spare map[Name]*request
 }
+
+// spareMapMax bounds the spill maps an owner keeps across reuse: a map
+// that grew past it (a bulk scan that never escalated) goes to the garbage
+// collector instead of pinning its buckets in the owner pool.
+const spareMapMax = 1024
 
 func (hs *heldSet) get(name Name) (*request, bool) {
 	if hs.m != nil {
@@ -594,12 +625,30 @@ func (hs *heldSet) set(name Name, r *request) {
 		hs.n++
 		return
 	}
-	hs.m = make(map[Name]*request, 2*heldSmallMax)
+	hs.m, hs.spare = hs.spare, nil
+	if hs.m == nil {
+		hs.m = make(map[Name]*request, 2*heldSmallMax)
+	}
 	for i := 0; i < hs.n; i++ {
 		hs.m[hs.arr[i].name] = hs.arr[i].req
+		hs.arr[i] = heldEntry{}
 	}
 	hs.n = 0
 	hs.m[name] = r
+}
+
+// reset empties the set for the owner's next transaction, keeping a spill
+// map (cleared) as the spare for the next spill.
+func (hs *heldSet) reset() {
+	if hs.m != nil {
+		if len(hs.m) <= spareMapMax {
+			clear(hs.m)
+			hs.spare = hs.m
+		}
+		hs.m = nil
+	}
+	clear(hs.arr[:hs.n])
+	hs.n = 0
 }
 
 func (hs *heldSet) del(name Name) {
@@ -657,6 +706,7 @@ type ownerTable struct {
 	nRows      int
 	rowsArr    [rowsSmallMax]rowEntry
 	rowsMap    map[uint64]*request // nil until spill
+	rowsSpare  map[uint64]*request // cleared spill map kept across reset
 }
 
 func (ot *ownerTable) rowCount() int {
@@ -695,9 +745,13 @@ func (ot *ownerTable) setRow(row uint64, r *request) {
 		ot.nRows++
 		return
 	}
-	ot.rowsMap = make(map[uint64]*request, 2*rowsSmallMax)
+	ot.rowsMap, ot.rowsSpare = ot.rowsSpare, nil
+	if ot.rowsMap == nil {
+		ot.rowsMap = make(map[uint64]*request, 2*rowsSmallMax)
+	}
 	for i := 0; i < ot.nRows; i++ {
 		ot.rowsMap[ot.rowsArr[i].row] = ot.rowsArr[i].r
+		ot.rowsArr[i] = rowEntry{}
 	}
 	ot.nRows = 0
 	ot.rowsMap[row] = r
@@ -781,24 +835,25 @@ type request struct {
 	fastLeased bool
 
 	// Recycling state. box points back at the request's co-allocation so
-	// ReleaseAll can return it to the home shard's cache. recyclable is set
-	// only for boxes born in the blocking Acquire path, whose Pending
-	// provably has no external references once the transaction commits
-	// (Acquire returned before the owner's goroutine could call
-	// ReleaseAll). everQueued is set, stickily, the first time the request
-	// enters a wait queue: queued requests may be captured by the deadlock
-	// detector's latch-free snapshot, which holds *request pointers across
-	// phases, so they are never recycled.
-	box        *requestAndPending
-	recyclable bool
-	everQueued bool
+	// ReleaseAll can return it to the box caches. escaped is set, stickily,
+	// where the box's own Pending escapes the admitting goroutine: when
+	// AcquireAsync hands it to a caller (the request waited or was
+	// denied), and when the request enters the waiting set (a wait queue,
+	// the culled stack, an escalation park), where other goroutines
+	// complete its Pending and the deadlock detector's latch-free snapshot
+	// may hold the *request across phases. A request granted before
+	// AcquireAsync returns hands out the shared grantedSingleton instead,
+	// so its box is referenced only by the lock table and its owner's
+	// indexes: a box is recycled exactly when it never escaped.
+	box     *requestAndPending
+	escaped bool
 }
 
-// requestAndPending co-allocates a request with its Pending so the
-// AcquireAsync fast path costs a single heap object. The Pending outlives
-// the request's table membership (the caller holds it), which keeps the
-// whole box alive; requests are small, so this trades no meaningful memory
-// for one less malloc per acquire.
+// requestAndPending co-allocates a request with its Pending, so a request
+// that waits costs a single heap object and its Pending lives exactly as
+// long as the caller holds it. Boxes of requests that never waited are
+// recycled (see request.escaped), so a steady workload without waits
+// allocates none.
 type requestAndPending struct {
 	req  request
 	pend Pending
@@ -1005,10 +1060,10 @@ type shard struct {
 
 	// rfree is the shard's cache of recycled request+Pending boxes,
 	// guarded by mu like hfree; boxes are pushed (zeroed) by ReleaseAll
-	// and popped by the acquire path, so a steady commit workload stops
-	// allocating per lock request. rfreeN mirrors len(rfree) so the
-	// acquire path can pre-allocate outside the latch when the cache is
-	// empty instead of allocating inside the critical section.
+	// and popped by the latched acquire path, so a steady commit workload
+	// stops allocating per lock request. rfreeN mirrors len(rfree) so the
+	// acquire path can take a box outside the latch (Manager.newBox) when
+	// the cache is empty instead of inside the critical section.
 	rfree  []*requestAndPending
 	rfreeN atomic.Int32
 
@@ -1122,15 +1177,27 @@ func (s *shard) popBox() *requestAndPending {
 	return b
 }
 
-// pushBox zeroes a request box and returns it to the shard cache (bounded;
-// overflow is left to the garbage collector). Caller holds the shard latch
-// and guarantees no external references to the box or its Pending remain.
-func (s *shard) pushBox(b *requestAndPending) {
-	if len(s.rfree) >= boxFreelistCap {
-		return
+// newBox returns a zeroed request box: a recycled one from fastBoxPool, or
+// a fresh allocation. The latch-free grant path draws only from the pool;
+// the latched path pops its shard's cache first and comes here when that
+// is empty.
+func (m *Manager) newBox() *requestAndPending {
+	if b, _ := m.fastBoxPool.Get().(*requestAndPending); b != nil {
+		return b
 	}
+	return &requestAndPending{}
+}
+
+// recycleBox zeroes a request box whose Pending never escaped and returns
+// it to s's cache, or to fastBoxPool when the cache is full. Caller holds
+// s's latch; s is the request's home shard.
+func (m *Manager) recycleBox(s *shard, b *requestAndPending) {
 	b.req = request{}
 	b.pend.reset()
+	if len(s.rfree) >= boxFreelistCap {
+		m.fastBoxPool.Put(b)
+		return
+	}
 	s.rfree = append(s.rfree, b)
 	s.rfreeN.Store(int32(len(s.rfree)))
 }
@@ -1212,12 +1279,12 @@ type Manager struct {
 	optHits     *metrics.ShardCounters
 	optFailures *metrics.ShardCounters
 
-	// fastBoxPool recycles request+Pending boxes for the latch-free grant
-	// path, which cannot pop the shard's latched rfree cache. Boxes enter
-	// zeroed (same contract as pushBox: recyclable, never queued, no
-	// external references) from ReleaseAll when the shard cache is full —
-	// on a steady fast-path workload that is nearly every commit, so fast
-	// grants stop allocating per lock request.
+	// fastBoxPool holds the recycled request+Pending boxes that overflow
+	// the shards' latched rfree caches. Boxes enter zeroed from ReleaseAll
+	// (recycleBox: the box never escaped) and leave through newBox, which
+	// serves the latch-free grant path and the latched path whenever its
+	// shard cache is empty — one overflow for both, so neither mallocs
+	// while spares exist.
 	fastBoxPool sync.Pool
 
 	// latchWaits counts contended shard-latch acquisitions; latchAcqs
@@ -1282,7 +1349,7 @@ type Manager struct {
 	// hook.
 	hot             *obs.HotSketch[Name]
 	latchProf       *obs.LatchProf
-	flight          []*trace.Ring
+	flight          []flightRing
 	latchSampleMask uint64
 
 	stats statCounters
@@ -1629,18 +1696,16 @@ func (m *Manager) NewOwner(a *App) *Owner {
 
 // AcquireAsync requests a lock without blocking. weight is the number of
 // lock structures the request consumes (1 for ordinary locks; bulk scans may
-// lock contiguous row chunks that account as multiple structures). The
-// returned Pending may already be complete.
+// lock contiguous row chunks that account as multiple structures).
+//
+// Pending contract: a request granted before AcquireAsync returns gets the
+// shared, already-granted Pending — the same pointer for every such grant,
+// read-only to callers — and costs no allocation once the box caches are
+// warm. A request gets a Pending of its own only if it waits (the returned
+// Pending is StatusWaiting and completes later) or is denied. Callers may
+// keep any returned Pending for as long as they like, across the owner's
+// ReleaseAll included.
 func (m *Manager) AcquireAsync(o *Owner, name Name, mode Mode, weight int) *Pending {
-	// Async callers keep the Pending for as long as they like, so the box
-	// can never be recycled at commit.
-	return m.acquireAsync(o, name, mode, weight, false)
-}
-
-// acquireAsync is the shared admission front end. recyclable marks boxes
-// whose Pending cannot outlive the transaction (the blocking Acquire path);
-// ReleaseAll returns those to the home shard's box cache.
-func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyclable bool) *Pending {
 	if !mode.Valid() || weight < 1 {
 		p := newPending()
 		p.complete(StatusDenied, fmt.Errorf("lockmgr: invalid request mode=%v weight=%d", mode, weight))
@@ -1672,7 +1737,7 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 	// nothing; the request proceeds on the latched path below, which is
 	// byte-for-byte the pre-fast-path pipeline plus a credit refill.
 	if fastEligible(mode) {
-		if p := m.tryFastAcquire(o, name, mode, weight, hash, si, recyclable, sampled); p != nil {
+		if p := m.tryFastAcquire(o, name, mode, weight, hash, si, sampled); p != nil {
 			if sampled {
 				m.admitHist.RecordStripe(si, time.Since(admit0).Nanoseconds())
 			}
@@ -1687,20 +1752,20 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 	// the counter on already-tracked keys and is dropped otherwise, which
 	// also keeps this hook allocation- and CAS-free.
 	m.hot.Observe(si, name, 0, obs.HotFallbacks, 1)
-	// The request and its Pending are one allocation — and on a steady
-	// commit workload not even that: ReleaseAll recycles the boxes of
-	// committed transactions into the home shard's cache. The cache is
-	// only poppable under the latch; when the latch-free mirror says it is
-	// empty, allocate before latching so the malloc stays out of the
-	// critical section.
+	// The request and its Pending are one box, recycled once released
+	// unless its Pending escaped (see request.escaped), so a steady commit
+	// workload allocates none. The shard cache is only poppable under the
+	// latch; when its latch-free mirror says it is empty, take a box from
+	// the overflow pool (or allocate) before latching, keeping both out of
+	// the critical section.
 	var box *requestAndPending
 	if m.shards[si].rfreeN.Load() == 0 {
-		box = &requestAndPending{}
+		box = m.newBox()
 	}
 	s := m.lockShard(si)
 	if box == nil {
 		if box = s.popBox(); box == nil {
-			box = &requestAndPending{} // raced empty; rare
+			box = m.newBox() // raced empty; rare
 		}
 	}
 	req := &box.req
@@ -1710,15 +1775,17 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 	req.weight = weight
 	req.pending = &box.pend
 	req.box = box
-	req.recyclable = recyclable
 	req.obsSampled = sampled
-	p := &box.pend
+	var p *Pending
 	ok := m.startRequest(s, si, req, false)
-	if ok && s.fastPublishedN.Load() > 0 {
-		// The shard serves fast-path traffic; top its credit up while the
-		// latch is held. (Fast-path credit misses fall back to exactly
-		// this path, so a dry shard self-heals here.)
-		m.maybeRefillFastCredit(s)
+	if ok {
+		if s.fastPublishedN.Load() > 0 {
+			// The shard serves fast-path traffic; top its credit up while
+			// the latch is held. (Fast-path credit misses fall back to
+			// exactly this path, so a dry shard self-heals here.)
+			m.maybeRefillFastCredit(s)
+		}
+		p = m.handOut(s, req)
 	}
 	m.unlockShard(s)
 	if !ok {
@@ -1732,24 +1799,47 @@ func (m *Manager) acquireAsync(o *Owner, name Name, mode Mode, weight int, recyc
 			if !m.startRequest(s, si, req, true) {
 				panic("lockmgr: global admission deferred")
 			}
+			p = m.handOut(s, req)
 		})
-		m.flushConts() // escalation continuations run after the latches drop
-		if req.obsSampled {
-			m.admitHist.RecordStripe(si, time.Since(admit0).Nanoseconds())
-		}
-		return p
 	}
-	m.flushConts()
-	if req.obsSampled {
+	// req may be recycled (and reused by another goroutine) from here on:
+	// touch only locals.
+	m.flushConts() // escalation continuations run after the latches drop
+	if sampled {
 		m.admitHist.RecordStripe(si, time.Since(admit0).Nanoseconds())
 	}
 	return p
 }
 
+// handOut picks the Pending AcquireAsync returns for a request startRequest
+// has just admitted. A request granted during admission — and never made
+// visible to other goroutines — gets grantedSingleton; if it was not
+// installed either (a covered row, an already strong enough hold, or a
+// conversion completed in place), nothing references its box any more and
+// the box is recycled at once. Any other request hands out its own Pending,
+// which marks it escaped. Caller holds the request's home shard latch
+// (every latch on the global path), so no other goroutine can have
+// completed, released or recycled the request since startRequest.
+func (m *Manager) handOut(s *shard, req *request) *Pending {
+	p := &req.box.pend
+	if req.escaped || Status(p.status.Load()) != StatusGranted {
+		req.escaped = true
+		return p
+	}
+	if !req.granted {
+		m.recycleBox(s, req.box)
+	}
+	return grantedSingleton
+}
+
 // Acquire requests a lock and blocks until grant, denial, or ctx
-// cancellation. On cancellation the request is withdrawn.
+// cancellation. On cancellation the request is withdrawn. It is
+// AcquireAsync plus a wait under the same Pending contract: a request
+// granted at once gets the shared granted Pending, so Acquire allocates
+// nothing, and Acquire blocks only on a request's own Pending, which
+// exists only if the request waited.
 func (m *Manager) Acquire(ctx context.Context, o *Owner, name Name, mode Mode, weight int) error {
-	p := m.acquireAsync(o, name, mode, weight, true)
+	p := m.AcquireAsync(o, name, mode, weight)
 	if st, err := p.Status(); st != StatusWaiting {
 		if st == StatusDenied {
 			return err
@@ -1970,8 +2060,8 @@ func (m *Manager) enqueueWaiter(s *shard, si int, h *lockHeader, req *request) {
 	throtDepthMax(s, int32(depth))
 	m.hot.Observe(si, h.name, hotEventBlameNs, obs.HotQueueMax, int64(depth))
 	if m.flight != nil {
-		m.flightAdd(si, trace.KindWait, req.owner.app.id,
-			fmt.Sprintf("%s mode=%s owner=%d depth=%d", h.name, req.mode, req.owner.id, depth))
+		m.flightAdd(si, flightRec{form: flightWait, app: req.owner.app.id,
+			name: h.name, mode: req.mode, owner: req.owner.id, n: int64(depth)})
 	}
 	m.settleFast(s, h)
 	if s.relHead.Load() != nil {
@@ -2013,8 +2103,8 @@ func (m *Manager) startConversion(cur *request, target Mode, p *Pending, onGrant
 	depth := len(h.converters) + len(h.waiters)
 	m.hot.Observe(si, h.name, hotEventBlameNs, obs.HotQueueMax, int64(depth))
 	if m.flight != nil {
-		m.flightAdd(si, trace.KindWait, cur.owner.app.id,
-			fmt.Sprintf("%s convert=%s owner=%d depth=%d", h.name, target, cur.owner.id, depth))
+		m.flightAdd(si, flightRec{form: flightConvertWait, app: cur.owner.app.id,
+			name: h.name, mode: target, owner: cur.owner.id, n: int64(depth)})
 	}
 	m.settleFast(s, h)
 	// Same lost-trigger re-check as enqueueWaiter: a release staged during
@@ -2291,10 +2381,9 @@ func (m *Manager) grant(req *request) {
 func (m *Manager) grantDeferred(req *request, d *releaseDrain) {
 	m.stats.grants.Add(1)
 	if m.flight != nil && !req.waitStart.IsZero() {
-		si := m.shardOf(req.name)
-		m.flightAdd(si, trace.KindGrant, req.owner.app.id,
-			fmt.Sprintf("%s mode=%s owner=%d waited=%s",
-				req.name, req.effectiveMode(), req.owner.id, m.clk.Now().Sub(req.waitStart)))
+		m.flightAdd(m.shardOf(req.name), flightRec{form: flightGrant, app: req.owner.app.id,
+			name: req.name, mode: req.effectiveMode(), owner: req.owner.id,
+			n: int64(m.clk.Now().Sub(req.waitStart))})
 	}
 	m.endWait(req)
 	if req.obsSampled {
@@ -2552,9 +2641,9 @@ func (m *Manager) finishRelease(s *shard, req *request) {
 		if m.flight != nil {
 			// Sampled (same 1/stride population as the hold histogram),
 			// so the flight ring sees a representative release stream
-			// without a Sprintf per commit.
-			m.flightAdd(m.shardOf(req.name), trace.KindRelease, req.owner.app.id,
-				fmt.Sprintf("%s mode=%s owner=%d held=%s", req.name, req.mode, req.owner.id, time.Duration(held)))
+			// without a record per commit.
+			m.flightAdd(m.shardOf(req.name), flightRec{form: flightRelease, app: req.owner.app.id,
+				name: req.name, mode: req.mode, owner: req.owner.id, n: held})
 		}
 	}
 	h := req.header
@@ -2656,6 +2745,13 @@ func (m *Manager) cancel(o *Owner, name Name) {
 // Escalation continuations racing the walk are handled by per-request
 // revalidation: a request is released only if it is still the owner's live
 // entry for its name.
+//
+// Post-condition. When ReleaseAll returns, every request that was already
+// waiting when it was called, behind a lock it released, has been granted
+// (its Pending completed, its onGrant continuation queued) unless another
+// holder or an earlier waiter still blocks it. A commit stages its batch
+// for a flush leader (grouprelease.go) only on a shard with no waiters,
+// where it can block no one queued.
 func (m *Manager) ReleaseAll(o *Owner) {
 	m.releaseAll(o, false)
 }
@@ -2668,6 +2764,14 @@ func (m *Manager) ReleaseAll(o *Owner) {
 // can still hold the pointer for a moment after the release completes, so
 // those owners are left to the garbage collector. ReleaseAll itself keeps
 // the stronger guarantee that duplicate concurrent calls are harmless.
+//
+// Pendings stay valid: the shared granted Pending of a synchronous grant
+// is never reset, and a request's own Pending — which exists only if it
+// waited or was denied — is never recycled, so callers may keep reading
+// any Pending the owner was handed after FinishOwner returns. (The release
+// walk, ReleaseAll's too, recycles the boxes of requests that never
+// waited; no caller can tell, as those handed out only the shared
+// Pending.)
 func (m *Manager) FinishOwner(o *Owner) {
 	m.releaseAll(o, true)
 }
@@ -2832,19 +2936,13 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 }
 
 // resetForReuse returns the owner to its zero state (keeping the sized
-// touchedHi spill) so NewOwner can hand it to a fresh transaction. The
-// inline arrays are cleared in full — swap-remove deletion and map spills
-// can leave stale entries past the live prefix, and a recycled owner must
+// touchedHi spill and the index spill storage) so NewOwner can hand it to
+// a fresh transaction. Index entries are cleared — a recycled owner must
 // not pin dead requests.
 func (o *Owner) resetForReuse() {
 	o.app = nil
-	o.held.arr = [heldSmallMax]heldEntry{}
-	o.held.n = 0
-	o.held.m = nil
+	o.resetIndexes()
 	o.released = false
-	o.ot0used, o.ot0tid = false, 0
-	o.ot0.reset()
-	o.byTable = nil
 	o.touched0 = 0
 	for i := range o.touchedHi {
 		o.touchedHi[i] = 0
@@ -2855,13 +2953,20 @@ func (o *Owner) resetForReuse() {
 	o.recycleOnZero = false
 }
 
-// reset clears a per-table index for owner reuse.
+// reset clears a per-table index for owner reuse, keeping a spill map
+// (cleared) as the spare for the next spill.
 func (ot *ownerTable) reset() {
 	ot.tableReq = nil
 	ot.rowStructs = 0
+	if ot.rowsMap != nil {
+		if len(ot.rowsMap) <= spareMapMax {
+			clear(ot.rowsMap)
+			ot.rowsSpare = ot.rowsMap
+		}
+		ot.rowsMap = nil
+	}
+	clear(ot.rowsArr[:ot.nRows])
 	ot.nRows = 0
-	ot.rowsArr = [rowsSmallMax]rowEntry{}
-	ot.rowsMap = nil
 }
 
 // releaseEntry is one held lock queued for release: the name is a copy, so
@@ -2940,14 +3045,7 @@ func (b *releaseBatch) collect(m *Manager, o *Owner) {
 // a latched drain applies the batch); only the owner-side view is gone.
 func (b *releaseBatch) collectDetach(m *Manager, o *Owner) {
 	b.collect(m, o)
-	for i := 0; i < o.held.n && i < heldSmallMax; i++ {
-		o.held.arr[i] = heldEntry{}
-	}
-	o.held.n = 0
-	o.held.m = nil
-	o.ot0used, o.ot0tid = false, 0
-	o.ot0.reset()
-	o.byTable = nil
+	o.resetIndexes()
 }
 
 // collectShard buckets the held locks homed in shard si. Caller holds
@@ -3086,22 +3184,13 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 	if weightFreed > 0 {
 		o.app.structs.Add(-int64(weightFreed))
 	}
-	// Box recycling: live requests are fully unlinked (never queued, so
-	// the posting pass cannot reference them) — recycle before the drain
-	// moves on to the next batch.
+	// Box recycling: live requests are fully unlinked, and one that never
+	// escaped was never queued (so the posting pass cannot reference it)
+	// and never handed its Pending out — recycle before the drain moves on
+	// to the next batch.
 	for _, r := range live {
-		if r.recyclable && !r.everQueued {
-			if len(s.rfree) < boxFreelistCap {
-				s.pushBox(r.box)
-			} else {
-				// Shard cache full: feed the latch-free grant path's pool
-				// instead of the garbage collector. Same ownership contract
-				// as pushBox; boxes enter the pool zeroed.
-				b := r.box
-				b.req = request{}
-				b.pend.reset()
-				m.fastBoxPool.Put(b)
-			}
+		if !r.escaped {
+			m.recycleBox(s, r.box)
 		}
 	}
 	b.live = live[:0]
@@ -3151,14 +3240,14 @@ func (m *Manager) deadline() time.Time {
 // beginWait stamps a request entering a wait queue: the timeout deadline,
 // the wait-start instant (manager clock, so simulated runs record
 // deterministic wait durations), and the waits counter. It also marks the
-// request ever-queued (excluding it from box recycling) and counts it in
+// request escaped (excluding it from box recycling) and counts it in
 // the owner's inWait gauge — exactly once, even if the request re-waits
 // after being parked (the non-zero waitStart dedupes). The caller holds
 // the home shard latch and appends the request to the waiter/converter
 // queue itself.
 func (m *Manager) beginWait(req *request) {
 	now := m.clk.Now()
-	req.everQueued = true
+	req.escaped = true
 	req.owner.everWaited = true
 	if req.waitStart.IsZero() {
 		req.owner.inWait.Add(1)

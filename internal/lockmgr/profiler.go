@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -51,10 +52,7 @@ func (m *Manager) initProfiler(cfg Config, ns int, wallStride int) {
 		return
 	}
 	m.hot = obs.NewHotSketch[Name](ns, hotSlotsPerStripe)
-	m.flight = make([]*trace.Ring, ns)
-	for i := range m.flight {
-		m.flight[i] = trace.NewRing(flightRingCap)
-	}
+	m.flight = make([]flightRing, ns)
 	if wallStride > 0 {
 		m.latchProf = obs.NewLatchProf(ns)
 		m.latchSampleMask = latchSampleStride - 1
@@ -67,14 +65,100 @@ func (m *Manager) hotObserve(si int, name Name, scoreDelta int64, metric int, de
 	m.hot.Observe(si, name, scoreDelta, metric, delta)
 }
 
-// flightAdd appends one event to shard si's flight ring, stamped on the
-// manager's clock. Callers guard with m.flight != nil before building the
-// detail string, so disabled profilers pay nothing.
-func (m *Manager) flightAdd(si int, k trace.Kind, appID int, detail string) {
+// flightForm is the shape of one flight-recorder event: it fixes the
+// event's kind and the layout of its Detail string.
+type flightForm uint8
+
+const (
+	flightWait        flightForm = iota // queued behind the holders
+	flightConvertWait                   // a conversion queued behind the holders
+	flightCulledWait                    // diverted into the culled set
+	flightGrant                         // granted after a wait
+	flightRelease                       // sampled latched release
+	flightFastRelease                   // sampled grant-word release
+	flightEscalation                    // table escalation
+)
+
+// flightRec is one flight-recorder event in structured form. The hot paths
+// (under the shard latch) store these fields; FlightEvents formats them,
+// so recording costs no string building.
+type flightRec struct {
+	at    time.Time
+	name  Name
+	owner uint64
+	n     int64 // queue depth, or a duration in ns (waited, held)
+	app   int
+	form  flightForm
+	mode  Mode // requested/held mode, conversion or escalation target
+}
+
+// event renders the record as the trace.Event /debug/flight serves.
+func (r *flightRec) event() trace.Event {
+	e := trace.Event{Time: r.at, AppID: r.app}
+	switch r.form {
+	case flightWait:
+		e.Kind, e.Detail = trace.KindWait, fmt.Sprintf("%s mode=%s owner=%d depth=%d", r.name, r.mode, r.owner, r.n)
+	case flightConvertWait:
+		e.Kind, e.Detail = trace.KindWait, fmt.Sprintf("%s convert=%s owner=%d depth=%d", r.name, r.mode, r.owner, r.n)
+	case flightCulledWait:
+		e.Kind, e.Detail = trace.KindWait, fmt.Sprintf("%s mode=%s owner=%d culled depth=%d", r.name, r.mode, r.owner, r.n)
+	case flightGrant:
+		e.Kind, e.Detail = trace.KindGrant, fmt.Sprintf("%s mode=%s owner=%d waited=%s", r.name, r.mode, r.owner, time.Duration(r.n))
+	case flightRelease:
+		e.Kind, e.Detail = trace.KindRelease, fmt.Sprintf("%s mode=%s owner=%d held=%s", r.name, r.mode, r.owner, time.Duration(r.n))
+	case flightFastRelease:
+		e.Kind, e.Detail = trace.KindRelease, fmt.Sprintf("%s mode=%s owner=%d held=%s (fast)", r.name, r.mode, r.owner, time.Duration(r.n))
+	case flightEscalation:
+		e.Kind, e.Detail = trace.KindEscalation, fmt.Sprintf("%s to=%s owner=%d", r.name, r.mode, r.owner)
+	}
+	return e
+}
+
+// flightRing is one shard's flight recorder: a fixed ring of the most
+// recent flightRingCap records, oldest overwritten first.
+type flightRing struct {
+	mu    sync.Mutex
+	buf   [flightRingCap]flightRec
+	next  int
+	count int
+}
+
+func (r *flightRing) add(rec flightRec) {
+	r.mu.Lock()
+	r.buf[r.next] = rec
+	r.next = (r.next + 1) % flightRingCap
+	if r.count < flightRingCap {
+		r.count++
+	}
+	r.mu.Unlock()
+}
+
+// events returns the retained records as events, oldest first. The
+// records are copied under the mutex and formatted after it is dropped.
+func (r *flightRing) events() []trace.Event {
+	r.mu.Lock()
+	recs := make([]flightRec, 0, r.count)
+	start := (r.next - r.count + flightRingCap) % flightRingCap
+	for i := 0; i < r.count; i++ {
+		recs = append(recs, r.buf[(start+i)%flightRingCap])
+	}
+	r.mu.Unlock()
+	evs := make([]trace.Event, len(recs))
+	for i := range recs {
+		evs[i] = recs[i].event()
+	}
+	return evs
+}
+
+// flightAdd appends one record to shard si's flight ring, stamped on the
+// manager's clock. Callers guard with m.flight != nil, so disabled
+// profilers pay nothing.
+func (m *Manager) flightAdd(si int, rec flightRec) {
 	if m.flight == nil {
 		return
 	}
-	m.flight[si].Add(trace.Event{Time: m.clk.Now(), Kind: k, AppID: appID, Detail: detail})
+	rec.at = m.clk.Now()
+	m.flight[si].add(rec)
 }
 
 // FlightEvents returns flight-recorder events, oldest first. shard ≥ 0
@@ -87,10 +171,10 @@ func (m *Manager) FlightEvents(shard, last int) []trace.Event {
 	}
 	var evs []trace.Event
 	if shard >= 0 {
-		evs = m.flight[uint64(shard)&m.shardMask].Events()
+		evs = m.flight[uint64(shard)&m.shardMask].events()
 	} else {
-		for _, r := range m.flight {
-			evs = append(evs, r.Events()...)
+		for i := range m.flight {
+			evs = append(evs, m.flight[i].events()...)
 		}
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 	}

@@ -299,11 +299,14 @@ func TestCommitStormReleasePath(t *testing.T) {
 			}
 			m.DetectDeadlocks()
 			m.SweepTimeouts()
+			// Record a violation and keep sweeping: the workers still
+			// need deadlocks broken to finish and report it.
 			if err := m.CheckInvariants(); err != nil {
 				invErrMu.Lock()
-				invErr = err
+				if invErr == nil {
+					invErr = err
+				}
 				invErrMu.Unlock()
-				return
 			}
 			sweeps.Add(1)
 		}

@@ -3,7 +3,6 @@ package lockmgr
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -125,17 +124,18 @@ func TestStressShardedTable(t *testing.T) {
 				m.Resize(32 * 48)
 			}
 			shrunk = !shrunk
-			if u, f, c := m.UsedStructs(), m.FreeStructs(), m.CapacityStructs(); u+f != c {
-				invErrMu.Lock()
-				invErr = fmt.Errorf("used %d + free %d != capacity %d", u, f, c)
-				invErrMu.Unlock()
-				return
-			}
+			// CheckInvariants asserts used + free == capacity with the
+			// world stopped; reading the three gauges here, while the
+			// workers run, would compare values from different instants.
+			// A violation is recorded and the sweeps go on, so deadlocks
+			// are still broken and the workers finish: the test reports
+			// the violation rather than hanging.
 			if err := m.CheckInvariants(); err != nil {
 				invErrMu.Lock()
-				invErr = err
+				if invErr == nil {
+					invErr = err
+				}
 				invErrMu.Unlock()
-				return
 			}
 			sweeps.Add(1)
 		}

@@ -45,7 +45,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 const (
@@ -83,7 +82,7 @@ const (
 // StatusWaiting; grant or denial arrives via reactivation, timeout,
 // cancel, or abort).
 func (m *Manager) maybeCull(s *shard, si int, req *request) bool {
-	if req.everQueued {
+	if req.escaped {
 		// A request that has already waited — reactivated from the culled
 		// set, or retried after an escalation park — is never culled
 		// (again). Re-culling a reactivated waiter would bounce it between
@@ -118,8 +117,8 @@ func (m *Manager) maybeCull(s *shard, si int, req *request) bool {
 	throtDepthMax(s, int32(depth))
 	m.hot.Observe(si, h.name, hotEventBlameNs, obs.HotQueueMax, int64(depth))
 	if m.flight != nil {
-		m.flightAdd(si, trace.KindWait, req.owner.app.id,
-			fmt.Sprintf("%s mode=%s owner=%d culled depth=%d", h.name, req.mode, req.owner.id, depth))
+		m.flightAdd(si, flightRec{form: flightCulledWait, app: req.owner.app.id,
+			name: h.name, mode: req.mode, owner: req.owner.id, n: int64(depth)})
 	}
 	// Fence the grant word while culled waiters exist (recomputeWord
 	// treats them like queued ones), so every release takes the latched

@@ -30,8 +30,25 @@ var ErrReadOnlyWrite = errors.New("txn: write lock requested in readonly transac
 
 // OptimisticReads returns the number of reads this transaction satisfied
 // with optimistic tokens (vs rowsLocked, the reads that fell back to real
-// locks).
-func (t *Txn) OptimisticReads() int64 { return int64(len(t.tokens)) }
+// locks). The count stays valid after commit or abort.
+func (t *Txn) OptimisticReads() int64 { return t.optReads + int64(len(t.tokens)) }
+
+// tokenBuf carries a token slice between ReadOnly transactions through the
+// manager's pool (a pointer, so pooling it allocates nothing).
+type tokenBuf struct{ toks []lockmgr.OptToken }
+
+// addToken records an optimistic read token, taking a recycled slice from
+// the manager's pool at the transaction's first token.
+func (t *Txn) addToken(tok lockmgr.OptToken) {
+	if t.tokBuf == nil {
+		t.tokBuf, _ = t.mgr.tokBufs.Get().(*tokenBuf)
+		if t.tokBuf == nil {
+			t.tokBuf = new(tokenBuf)
+		}
+		t.tokens = t.tokBuf.toks
+	}
+	t.tokens = append(t.tokens, tok)
+}
 
 // readOptimisticRow satisfies a ReadOnly row read: an IS token on the
 // table (cached per table — scans revisit the same one) and an S token on
@@ -59,10 +76,10 @@ func (t *Txn) readOptimisticRow(table storage.TableID, row uint64) (tableTok, ro
 // noteTokens records a successful optimistic row read.
 func (t *Txn) noteTokens(table storage.TableID, tableTok, rowTok lockmgr.OptToken) {
 	if tableTok.Valid() {
-		t.tokens = append(t.tokens, tableTok)
+		t.addToken(tableTok)
 		t.tokTable, t.tokTableOK = uint32(table), true
 	}
-	t.tokens = append(t.tokens, rowTok)
+	t.addToken(rowTok)
 }
 
 // validateTokens closes every optimistic read window. It validates all

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/lockmgr"
@@ -59,6 +60,11 @@ type Manager struct {
 	active  atomic.Int64
 	commits atomic.Int64
 	aborts  atomic.Int64
+
+	// tokBufs recycles ReadOnly transactions' token slices (*tokenBuf):
+	// a scan reuses the capacity an earlier one grew instead of regrowing
+	// its slice from nil.
+	tokBufs sync.Pool
 }
 
 // NewManager returns a transaction manager over the given lock manager.
@@ -85,8 +91,12 @@ type Txn struct {
 
 	// RO: optimistic read tokens awaiting commit validation, plus a
 	// one-entry cache of the table whose IS token is already stamped
-	// (scans revisit one table; a map would be overkill).
+	// (scans revisit one table; a map would be overkill). tokens lives in
+	// tokBuf, taken from the manager's pool at the first token and handed
+	// back at finish; optReads keeps the token count past that point.
 	tokens     []lockmgr.OptToken
+	tokBuf     *tokenBuf
+	optReads   int64
 	tokTable   uint32
 	tokTableOK bool
 
@@ -113,6 +123,13 @@ func (t *Txn) finish(to State, committed bool) {
 		return
 	}
 	t.state = to
+	if t.tokBuf != nil {
+		t.optReads = int64(len(t.tokens))
+		clear(t.tokens)
+		t.tokBuf.toks = t.tokens[:0]
+		t.mgr.tokBufs.Put(t.tokBuf)
+		t.tokBuf, t.tokens = nil, nil
+	}
 	// finish runs at most once (state guard) and the Txn owns its lock
 	// owner exclusively, so the owner can be handed back for recycling.
 	t.mgr.locks.FinishOwner(t.owner)
@@ -149,7 +166,7 @@ func (t *Txn) LockTable(ctx context.Context, table storage.TableID, mode lockmgr
 			return ErrReadOnlyWrite
 		}
 		if tok, ok := t.mgr.locks.TryOptimisticRead(lockmgr.TableName(uint32(table)), mode); ok {
-			t.tokens = append(t.tokens, tok)
+			t.addToken(tok)
 			return nil
 		}
 	}
@@ -205,6 +222,9 @@ const (
 )
 
 // Op is a two-phase (intent, then row) lock acquisition driven by polling.
+// AcquireRow and AcquireTable return the shared, read-only grantedOp for
+// every acquisition that completes at once; only an Op that waits or is
+// denied is allocated. Poll and Err never write to a finished Op.
 type Op struct {
 	txn     *Txn
 	table   uint32
@@ -218,45 +238,61 @@ type Op struct {
 	err     error
 }
 
+// grantedOp is the finished Op returned for every acquisition that
+// completes at once. It is shared by all transactions and never written.
+var grantedOp = &Op{state: OpGranted}
+
+// deniedOp returns a finished, denied Op.
+func deniedOp(err error) *Op { return &Op{state: OpDenied, err: err} }
+
 // AcquireRow starts acquiring a row lock (intent lock first) of the given
-// mode and weight. Poll the returned Op each tick until it completes.
+// mode and weight. Poll the returned Op each tick until it completes. An
+// acquisition granted at once allocates nothing and returns the shared
+// grantedOp.
 func (t *Txn) AcquireRow(table storage.TableID, row uint64, mode lockmgr.Mode, weight int) *Op {
-	op := &Op{txn: t, table: uint32(table), row: row, mode: mode, weight: weight, rowOp: true}
 	if t.state != StateActive {
-		op.state, op.err = OpDenied, ErrNotActive
-		return op
+		return deniedOp(ErrNotActive)
 	}
 	if t.isolation == ReadOnly {
 		if mode != lockmgr.ModeS {
-			op.state, op.err = OpDenied, ErrReadOnlyWrite
-			return op
+			return deniedOp(ErrReadOnlyWrite)
 		}
 		if tt, rt, ok := t.readOptimisticRow(table, row); ok {
 			// Zero-CAS hit: the op completes instantly with no Pending at
 			// all — nothing was acquired, so there is nothing to poll.
 			t.noteTokens(table, tt, rt)
-			op.state = OpGranted
-			return op
+			return grantedOp
 		}
 	}
+	op := Op{txn: t, table: uint32(table), row: row, mode: mode, weight: weight, rowOp: true}
 	if mode == lockmgr.ModeS && !t.applyIsolationBeforeRead(table, row) {
 		op.rowOp = false // UR: the intent lock is the whole operation
 	}
 	op.pending = t.mgr.locks.AcquireAsync(t.owner, lockmgr.TableName(op.table), lockmgr.IntentFor(mode), 1)
-	op.Poll()
-	return op
+	return op.start()
 }
 
-// AcquireTable starts acquiring a table lock of the given mode.
+// AcquireTable starts acquiring a table lock of the given mode. Like
+// AcquireRow, an immediate grant returns the shared grantedOp.
 func (t *Txn) AcquireTable(table storage.TableID, mode lockmgr.Mode) *Op {
-	op := &Op{txn: t, table: uint32(table), mode: mode, weight: 1, phase: 1}
 	if t.state != StateActive {
-		op.state, op.err = OpDenied, ErrNotActive
-		return op
+		return deniedOp(ErrNotActive)
 	}
+	op := Op{txn: t, table: uint32(table), mode: mode, weight: 1, phase: 1}
 	op.pending = t.mgr.locks.AcquireAsync(t.owner, lockmgr.TableName(op.table), mode, 1)
-	op.Poll()
-	return op
+	return op.start()
+}
+
+// start polls a just-issued op, which the caller built on its stack, and
+// returns what the caller hands out: the shared grantedOp if the op
+// completed at once, otherwise a heap copy to poll later.
+func (op *Op) start() *Op {
+	if op.Poll() == OpGranted {
+		return grantedOp
+	}
+	h := new(Op)
+	*h = *op
+	return h
 }
 
 // Poll advances the operation and returns its state. Safe to call after
