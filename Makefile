@@ -15,9 +15,10 @@ test:
 # the engine facade that exposes the latch-free snapshot path, the
 # lock-free observability primitives (striped histograms, decision log),
 # the event ring, and the transaction layer (optimistic read tokens
-# validated against concurrent writers).
+# validated against concurrent writers). -cpu 1,4 runs every test at
+# GOMAXPROCS 1 and 4, so even a 1-core box schedules them on several Ps.
 race:
-	$(GO) test -race ./internal/latch ./internal/lockmgr ./internal/memblock \
+	$(GO) test -race -cpu 1,4 ./internal/latch ./internal/lockmgr ./internal/memblock \
 		./internal/engine ./internal/obs ./internal/trace ./internal/txn
 
 # lockbench runs the lock-path benchmark (lockbench/README.md) on this
@@ -83,8 +84,8 @@ bench-obs-profiler:
 # acquisitions per commit. BENCH_COMMIT_BASELINE.json holds the
 # full-sweep release path (3×shards latches per commit);
 # BENCH_COMMIT_RELEASEPATH.json the touched-shard walk (O(shards
-# touched)); BENCH_COMMIT_GROUPRELEASE.json the group-release path
-# (staged batches + flush leaders on storming shards).
+# touched)); BENCH_COMMIT_GROUPRELEASE.json the since-deleted group
+# release (commits staged their batches for a flush leader).
 bench-commit:
 	BENCH_JSON=$${BENCH_JSON:-BENCH_COMMIT.json} \
 		$(GO) test -run xxx -bench BenchmarkCommitThroughput -benchtime 1s .
@@ -150,7 +151,7 @@ smoke-read:
 
 # smoke-commit runs the workbench commitstorm workload — short X
 # transactions confined to a few hot shards, with a shared row set that
-# generates genuine FIFO waits — and fails unless the group-release path
+# generates genuine FIFO waits — and fails unless the release walk
 # actually coalesced grant wakeups (-min-coalesced turns the counter into
 # an exit status).
 smoke-commit:
@@ -224,7 +225,7 @@ obs-demo: build
 # verify is the tier-1 gate (see ROADMAP.md): formatting, vet, build, the
 # full test suite, the lock-path benchmark's self-tests, the race-detector
 # pass over the concurrency-sensitive packages, and one-iteration smoke
-# runs of the read-path benches, the group-release commit path, the
+# runs of the read-path benches, the release walk's coalesced wakeups, the
 # contention profiler's live endpoints, the spin-then-park latch counters
 # on /metrics, and the admission throttle's cull/reactivate accounting.
 verify: fmt vet build test lockbench-test race smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle

@@ -166,10 +166,10 @@ type Latch struct {
 
 	// Stats. contended counts every acquire that found the latch held
 	// (failed fast CAS entering the slow path, or failed TryLock) — the
-	// one definition of "contended" shared by the spin controller and
-	// the lock manager's commit-storm hysteresis. spinHits counts slow
-	// acquires won in the spin phase, parks those that blocked on the
-	// cond, handoffs the unlocks that signalled a parked waiter.
+	// one definition of "contended" the spin controller tunes from.
+	// spinHits counts slow acquires won in the spin phase, parks those
+	// that blocked on the cond, handoffs the unlocks that signalled a
+	// parked waiter.
 	contended atomic.Uint64
 	spinHits  atomic.Uint64
 	parks     atomic.Uint64

@@ -197,18 +197,38 @@ func (m *Manager) retryParked(parked *request) {
 		m.unlockShard(s)
 		return
 	}
-	ok := m.startRequest(s, si, parked, false)
-	m.unlockShard(s)
-	if !ok {
-		// runGlobal survivor: same admission-of-last-resort rationale as
-		// AcquireAsync — the retry may itself need quota growth or a
-		// further escalation, which require every latch.
-		m.runGlobal(func() {
-			if !m.startRequest(s, si, parked, true) {
-				panic("lockmgr: global retry deferred admission")
-			}
-		})
+	m.readmit(s, si, parked)
+}
+
+// readmit re-runs admission for a request resuming outside any queue — a
+// parked request after its escalation (retryParked), a culled one after
+// reactivation (retryCulled). The caller holds s, the request's home
+// shard latch, and has already taken the request out of the waiting set;
+// readmit drops the latch. It first tries the latched admission; if that
+// backs out, the request goes back into the waiting set until the
+// all-latch retry runs (runGlobal survivor: same admission-of-last-resort
+// rationale as AcquireAsync — the retry may need quota growth or a further
+// escalation). In that window an aborting ReleaseAll of the owner still
+// finds the request and denies it before returning, and the global retry
+// then finds it denied.
+func (m *Manager) readmit(s *shard, si int, req *request) {
+	parked := req.parked
+	if m.startRequest(s, si, req, false) {
+		m.unlockShard(s)
+		return
 	}
+	req.parked = parked
+	s.addWaiting(req)
+	m.unlockShard(s)
+	m.runGlobal(func() {
+		if req.pending == nil {
+			return // denied while it waited for the latches
+		}
+		s.delWaiting(req)
+		if !m.startRequest(s, si, req, true) {
+			panic("lockmgr: global retry deferred admission")
+		}
+	})
 }
 
 // abandonParked denies a parked request after its escalation failed. It

@@ -120,14 +120,3 @@ func (m *Manager) LatchParkValues() []int64 {
 func (m *Manager) LatchHandoffValues() []int64 {
 	return m.latchValues((*latch.Latch).Handoffs)
 }
-
-// LatchSpinBudgets returns each shard latch's current spin budget — the
-// adaptive controller's live state (or the pinned value under a fixed
-// Config.LatchSpin).
-func (m *Manager) LatchSpinBudgets() []int {
-	out := make([]int, len(m.shards))
-	for i := range m.shards {
-		out[i] = m.shards[i].mu.Budget()
-	}
-	return out
-}

@@ -207,11 +207,27 @@ func (p *Pending) Status() (Status, error) {
 // dmu (whichever of complete/Done runs second observes the other's store
 // and performs the close, with closed deduplicating).
 func (p *Pending) complete(st Status, err error) {
+	if p.resolve(st, err) {
+		p.wake()
+	}
+}
+
+// resolve is complete without the wakeup: it stores the terminal state and
+// reports whether it did (false if p was already terminal). Status readers
+// see the outcome at once; Done stays open until wake runs. The release
+// walk resolves grants under the latch and wakes them after dropping it.
+func (p *Pending) resolve(st Status, err error) bool {
 	if Status(p.status.Load()) != StatusWaiting {
-		return
+		return false
 	}
 	p.err = err
 	p.status.Store(int32(st))
+	return true
+}
+
+// wake closes p's Done channel if a reader has created it; the terminal
+// status must already be stored (resolve). Safe to call more than once.
+func (p *Pending) wake() {
 	if p.hasDone.Load() {
 		p.dmu.Lock()
 		if p.done != nil && !p.closed {
@@ -429,30 +445,12 @@ type Owner struct {
 	// after ReleaseAll returns, so they are left to the garbage collector.
 	everWaited bool
 
-	// stagedRefs counts the owner's release batches still staged on shard
-	// flush lists, plus one bias held by the release walk itself
-	// (grouprelease.go). The walk stores the bias under o.mu before any
-	// batch is published and drops it as its very last touch of the
-	// owner; each flush leader drops one ref after it has fully applied a
-	// staged batch. Whoever drops the count to zero owns the teardown:
-	// if recycleOnZero is set (FinishOwner's exclusive-pointer contract,
-	// decided before the first publish) it resets and pools the owner.
-	stagedRefs    atomic.Int32
-	recycleOnZero bool
-
 	// Commit-walk scratch, reused across this owner's transactions so the
 	// steady-state release walk touches no sync.Pool at all: the collect
-	// snapshot, the deferred posting/wake drain, and a small arsenal of
-	// staged-batch slots for storm-mode shard visits (overflow falls back
-	// to releaseBatchPool). A slot is safe to reuse because the owner is
-	// only recycled — and the walk only restarted — after stagedRefs hits
-	// zero, which requires every previously staged slot to have been
-	// applied. Touched only by the walk goroutine and (per staged slot,
-	// hand-off via the staging-list CAS) the one flush leader applying it.
+	// snapshot and the deferred posting/wake drain. Touched only by the
+	// goroutine running the owner's release walk.
 	walkBatch releaseBatch
 	drain     releaseDrain
-	sbArsenal [2]releaseBatch
-	sbUsed    int8
 
 	// Registry list links, guarded by Manager.ownersMu.
 	regPrev, regNext *Owner
@@ -893,14 +891,6 @@ type lockHeader struct {
 	culled        []*request
 	reactInFlight int
 
-	// postPending marks a header already appended to the current shard
-	// visit's deferred posting list (grouprelease.go): when a flush leader
-	// applies several owners' release batches under one latch hold, two
-	// batches unlinking holders of the same header must queue it for the
-	// FIFO posting pass exactly once. Guarded by the shard latch; always
-	// false outside a latched release visit.
-	postPending bool
-
 	// word is the packed latch-free grant word (see fastpath.go); it is
 	// meaningful only once published is set (latch-guarded) and the
 	// header is installed in its shard's fastSlots. Published headers are
@@ -1057,6 +1047,7 @@ type shard struct {
 	holdT0    time.Time
 	pool      *memblock.Pool // lease cache; guarded by mu
 	hfree     []*lockHeader  // recycled headers (with empty granted maps)
+	hspill    *sync.Pool     // Manager.headerSpill: hfree's overflow
 
 	// rfree is the shard's cache of recycled request+Pending boxes,
 	// guarded by mu like hfree; boxes are pushed (zeroed) by ReleaseAll
@@ -1082,37 +1073,6 @@ type shard struct {
 	fastPublishedN atomic.Int32
 	fastLease      memblock.Handle
 	fastLeaseTotal int
-
-	// Group-release staging (grouprelease.go). relHead is the MPSC list
-	// of detached release batches published by committing owners on a
-	// storming shard; relLen mirrors its length for the latch-free flush
-	// triggers. A flush leader — elected by CAS on relFlush, or any
-	// latched visitor finding the list non-empty — swaps the list out and
-	// applies every staged batch in one latched section. relMu/relCond
-	// park stagers that hit the high-water backpressure bound until the
-	// next drain completes (relMu is never held together with the shard
-	// latch).
-	relHead  atomic.Pointer[releaseBatch]
-	relLen   atomic.Int32
-	relFlush atomic.Int32
-	relMu    sync.Mutex
-	relCond  *sync.Cond
-
-	// relStorm is the shard's commit-storm arm (hysteresis for the group
-	// stage). 0 means quiet: commits TryLock and apply directly, and only
-	// a failed TryLock — real latch contention — arms the shard. While
-	// armed, every commit visit stages its batch and yields briefly
-	// before electing a leader, so concurrent committers coalesce into
-	// one latched drain even when individual latched sections are too
-	// short to collide. Multi-batch drains re-arm to relStormArm;
-	// single-batch drains decay the arm by one, so a shard whose storm
-	// has passed falls back to the direct path within a few visits.
-	relStorm atomic.Int32
-
-	// relInline is the drain scratch for the admission path's piggyback
-	// drain (drainStagedInline). Latch-protected, like the table map, so
-	// the per-acquire drain allocates nothing.
-	relInline releaseDrain
 
 	// seq stamps the shard's published summary: it is bumped (under mu)
 	// whenever lock-table membership or wait-queue membership changes, so
@@ -1279,6 +1239,14 @@ type Manager struct {
 	optHits     *metrics.ShardCounters
 	optFailures *metrics.ShardCounters
 
+	// headerSpill holds the recycled lock headers that overflow the
+	// shards' hfree stacks: a lock working set that churns past 64
+	// headers per shard reuses evicted headers instead of allocating.
+	// Headers enter under the same rule as hfree (cacheOrEvictDeferred:
+	// never published, empty, no reactivations in flight), so nothing can
+	// still reach one through a fast slot or a continuation.
+	headerSpill sync.Pool
+
 	// fastBoxPool holds the recycled request+Pending boxes that overflow
 	// the shards' latched rfree caches. Boxes enter zeroed from ReleaseAll
 	// (recycleBox: the box never escaped) and leave through newBox, which
@@ -1294,18 +1262,12 @@ type Manager struct {
 	latchWaits *metrics.ShardCounters
 	latchAcqs  *metrics.ShardCounters
 
-	// Group-release evidence (grouprelease.go). relBatches counts release
-	// batches applied per shard (one per owner-visit, whether the owner
-	// latched directly or a flush leader drained its staged batch);
-	// wakesCoalesced counts FIFO grant wakeups whose Pending completion
-	// was deferred out of the latched release section and fired in the
-	// post-walk pass; flushWaits counts owner-visits that staged their
-	// batch on a busy shard and waited for a leader instead of latching.
-	// relBatches / commits is the combining factor; flushWaits > 0 proves
-	// the staging path runs at all.
+	// Release-walk evidence (release.go). relBatches counts release
+	// batches applied per shard (one per owner-visit); wakesCoalesced
+	// counts FIFO grant wakeups whose Done close was deferred out of the
+	// latched release section and fired in the post-walk pass.
 	relBatches     *metrics.ShardCounters
 	wakesCoalesced *metrics.ShardCounters
-	flushWaits     *metrics.ShardCounters
 
 	// Admission-throttle evidence (throttle.go). throtCulled counts
 	// waiters diverted into the passive culled set; throtReact counts
@@ -1403,7 +1365,6 @@ func New(cfg Config) *Manager {
 		optFailures:    metrics.NewShardCounters("optimistic validation failures", ns),
 		relBatches:     metrics.NewShardCounters("release batches applied", ns),
 		wakesCoalesced: metrics.NewShardCounters("wakeups coalesced", ns),
-		flushWaits:     metrics.NewShardCounters("flush follower waits", ns),
 		throtCulled:    metrics.NewShardCounters("throttle culled waiters", ns),
 		throtReact:     metrics.NewShardCounters("throttle reactivated waiters", ns),
 		throtDenied:    metrics.NewShardCounters("throttle culled denials", ns),
@@ -1443,7 +1404,7 @@ func New(cfg Config) *Manager {
 		s.table = make(map[Name]*lockHeader)
 		s.waiting = make(map[*request]struct{})
 		s.pool = m.chain.NewPool(cfg.LeaseChunk)
-		s.relCond = sync.NewCond(&s.relMu)
+		s.hspill = &m.headerSpill
 		if cfg.Throttle > 0 {
 			s.throtCeil.Store(int32(min(cfg.Throttle, throttleCeilMax)))
 		}
@@ -1502,9 +1463,8 @@ func (m *Manager) lockShard(i int) *shard {
 // any stale stamp a raw unlock left behind, so a TryLock'd visit can never
 // attribute a bogus hold time to the profile (the manager.go:946 stale
 // holdT0 hazard). A failed attempt is a contended acquire: the latch's own
-// contended counter records it (the unified contention signal the spin
-// controller and the commit-storm hysteresis share); latchWaits is not
-// bumped because no acquisition happened.
+// contended counter records it (the contention signal the spin controller
+// tunes from); latchWaits is not bumped because no acquisition happened.
 func (m *Manager) tryLockShard(i int) (*shard, bool) {
 	s := &m.shards[i]
 	if !s.mu.TryLock() {
@@ -1873,18 +1833,6 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 	o, name := req.owner, req.name
 	req.parked = false
 
-	// Staged group releases (grouprelease.go) are applied before this
-	// request's conflict evaluation can observe them as conflicts, so no
-	// waiter ever blocks behind — and no quota check ever charges for — a
-	// lock whose release has committed. The drain piggybacks on the latch
-	// the caller already holds, so every acquire that lands on a storming
-	// shard is a free flush: the release side's latch acquisition is gone
-	// entirely, not merely amortized. One predictable load when the list
-	// is empty.
-	if s.relHead.Load() != nil {
-		m.drainStagedInline(s, si)
-	}
-
 	o.mu.Lock()
 	if o.released {
 		// Use-after-release: the transaction already committed or
@@ -1958,14 +1906,6 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 		// The full admission pipeline may escalate, which re-enters this
 		// owner's state (releaseGranted takes o.mu); drop o.mu first.
 		o.mu.Unlock()
-		// Every latch is held: apply all staged releases everywhere before
-		// deciding that memory is truly exhausted — they are freeable
-		// structs no escalation should have to reclaim.
-		for i := range m.shards {
-			if ss := &m.shards[i]; ss.relHead.Load() != nil {
-				m.drainStagedInline(ss, i)
-			}
-		}
 		switch m.admitStructsGlobal(req) {
 		case admitDone:
 			return true // pipeline completed the pending (denied/parked)
@@ -2020,33 +1960,10 @@ func (m *Manager) startRequest(s *shard, si int, req *request, global bool) bool
 	return true
 }
 
-// testHookPreEnqueue, when non-nil, runs right before an admission
-// enqueues a waiter or converter (shard latch held in fast mode, every
-// latch in global mode; o.mu dropped) — inside the window between
-// startRequest's entry drain and the waiting-set store. Tests use it to
-// interleave a staged release into that window; always nil outside tests.
-var testHookPreEnqueue func(m *Manager, si int)
-
 // enqueueWaiter queues req on h's waiter list and registers it in the
 // shard's waiting set. Caller holds the shard latch (and every other
 // latch in global mode) but not o.mu.
-//
-// The staged-release re-check after the enqueue closes a lost-trigger
-// race with the group-release walk (grouprelease.go): a batch staged
-// during this latched section races its walk-end flush trigger against
-// this enqueue — maybeFlushShard's nWaiting load can run before
-// addWaiting's store and, with the list below the combining threshold,
-// skip the flush, leaving this waiter blocked behind an already-committed
-// release with no trigger left on a quiet shard. The accesses cross
-// (stager: push relHead, then load nWaiting; here: store nWaiting, then
-// load relHead — all sequentially consistent), so at least one side
-// always observes the other: either the trigger sees the waiter and
-// flushes, or the re-check sees the batch and drains it under the latch
-// already held — symmetric with the entry check in startRequest.
 func (m *Manager) enqueueWaiter(s *shard, si int, h *lockHeader, req *request) {
-	if testHookPreEnqueue != nil {
-		testHookPreEnqueue(m, si)
-	}
 	m.beginWait(req)
 	h.waiters = append(h.waiters, req)
 	req.header = h
@@ -2064,9 +1981,6 @@ func (m *Manager) enqueueWaiter(s *shard, si int, h *lockHeader, req *request) {
 			name: h.name, mode: req.mode, owner: req.owner.id, n: int64(depth)})
 	}
 	m.settleFast(s, h)
-	if s.relHead.Load() != nil {
-		m.drainStagedInline(s, si)
-	}
 }
 
 // startConversion upgrades a granted request to target mode, waiting in the
@@ -2093,9 +2007,6 @@ func (m *Manager) startConversion(cur *request, target Mode, p *Pending, onGrant
 		m.settleFast(s, h)
 		return
 	}
-	if testHookPreEnqueue != nil {
-		testHookPreEnqueue(m, si)
-	}
 	m.beginWait(cur)
 	h.converters = append(h.converters, cur)
 	s.addWaiting(cur)
@@ -2107,13 +2018,6 @@ func (m *Manager) startConversion(cur *request, target Mode, p *Pending, onGrant
 			name: h.name, mode: target, owner: cur.owner.id, n: int64(depth)})
 	}
 	m.settleFast(s, h)
-	// Same lost-trigger re-check as enqueueWaiter: a release staged during
-	// this latched section may hold exactly the incompatible grant this
-	// conversion is queued behind, and its walk-end trigger may have read
-	// nWaiting before the addWaiting store above.
-	if s.relHead.Load() != nil {
-		m.drainStagedInline(s, si)
-	}
 }
 
 // canConvert reports whether cur can convert to target given the other
@@ -2316,7 +2220,8 @@ func (m *Manager) invalidateQuotaCache() {
 }
 
 // headerFor returns (creating if necessary) the lock table entry for name,
-// recycling headers from the shard's freelist. Caller holds the shard latch.
+// recycling headers from the shard's freelist, then from the manager's
+// overflow pool. Caller holds the shard latch.
 func (s *shard) headerFor(name Name) *lockHeader {
 	h, ok := s.table[name]
 	if !ok {
@@ -2324,6 +2229,8 @@ func (s *shard) headerFor(name Name) *lockHeader {
 			h = s.hfree[n-1]
 			s.hfree[n-1] = nil
 			s.hfree = s.hfree[:n-1]
+			h.name = name
+		} else if h, _ = s.hspill.Get().(*lockHeader); h != nil {
 			h.name = name
 		} else {
 			h = &lockHeader{name: name}
@@ -2371,13 +2278,15 @@ func (m *Manager) grant(req *request) {
 }
 
 // grantDeferred is grant with the wake-side work optionally coalesced: with
-// a non-nil drain the Pending completion (a channel close — a runtime
+// a non-nil drain the Pending's wakeup (a channel close — a runtime
 // wakeup) and the onGrant continuation are appended to the drain's wake
 // list instead of firing under the latch; the release walk fires them in
 // one pass after every latch has been dropped (fireWakes). Everything the
 // lock-table invariants depend on — the grant install, the wait-histogram
-// sample, the inWait decrement — still happens here, under the latch, so a
-// stopped world never observes a granted request still counted as waiting.
+// sample, the inWait decrement, and the Pending's terminal status — still
+// happens here, under the latch, so a stopped world never observes a
+// granted request still counted as waiting, and the grantee's owner never
+// observes a request that is granted but still reports StatusWaiting.
 func (m *Manager) grantDeferred(req *request, d *releaseDrain) {
 	m.stats.grants.Add(1)
 	if m.flight != nil && !req.waitStart.IsZero() {
@@ -2394,6 +2303,9 @@ func (m *Manager) grantDeferred(req *request, d *releaseDrain) {
 	req.pending = nil
 	req.onGrant, req.onDeny = nil, nil
 	if d != nil {
+		if p != nil {
+			p.resolve(StatusGranted, nil)
+		}
 		if p != nil || og != nil {
 			d.wakes = append(d.wakes, wakeEntry{p: p, og: og})
 		}
@@ -2464,8 +2376,9 @@ func (m *Manager) deny(req *request, err error) {
 		m.post(s, h, nil)
 		s.cacheOrEvict(h)
 	} else {
-		// Parked request: never entered a queue, but may hold structures
-		// if it was parked after allocation (it is not today; keep the
+		// Parked request, or a reactivated culled one awaiting its
+		// retry: it holds no queue position, but may hold structures if
+		// it was parked after allocation (it is not today; keep the
 		// accounting safe regardless).
 		m.freeRequestStructs(s, req)
 	}
@@ -2526,9 +2439,9 @@ func (s *shard) cacheOrEvictDeferred(h *lockHeader) bool {
 		// exactly what keeps a hot key's grants latch-free across
 		// transactions. Reclamation is deferred to Resize/slot pressure.
 		// A header with reactivations in flight is likewise pinned: the
-		// continuation decrements reactInFlight through req.header under
-		// this latch (throttle.go), so the header must stay resident until
-		// every popped culled waiter has re-entered admission.
+		// continuation decrements its reactInFlight under this latch
+		// (retryCulled), so the header must stay resident until every
+		// popped culled waiter has re-entered admission.
 		return false
 	}
 	delete(s.table, h.name)
@@ -2540,6 +2453,8 @@ func (s *shard) cacheOrEvictDeferred(h *lockHeader) bool {
 	h.culled = nil
 	if len(s.hfree) < headerFreelistCap {
 		s.hfree = append(s.hfree, h)
+	} else {
+		s.hspill.Put(h)
 	}
 	return true
 }
@@ -2556,17 +2471,17 @@ func (s *shard) syncTableMirror() {
 // post wakes queued requests on h after a release or conversion, in strict
 // FIFO order: converters first, then waiters, stopping at the first
 // incompatible request. s is h's shard; the caller holds its latch. A
-// non-nil drain defers each grant's Pending completion to the post-walk
-// wake pass (grantDeferred); the grant itself — queue removal, install,
-// accounting — is still applied here, so FIFO order is decided under the
-// latch and the deferred completions merely deliver it.
+// non-nil drain defers each grant's wakeup to the post-walk wake pass
+// (grantDeferred); the grant itself — queue removal, install, accounting,
+// terminal status — is still applied here, so FIFO order is decided under
+// the latch and the deferred wakeups merely deliver it.
 func (m *Manager) post(s *shard, h *lockHeader, d *releaseDrain) {
 	m.postQueues(s, h, d)
 	// Refill the active queue from the culled set once the grant pass has
 	// drained what it can: every posting site — direct releases, denials,
-	// and the group-release flush leader's deferred posting pass
-	// (finishShardVisit) — feeds culled waiters back as headroom opens, so
-	// reactivation piggybacks on the latches those paths already hold.
+	// and the release walk's posting pass (releaseShard) — feeds culled
+	// waiters back as headroom opens, so reactivation piggybacks on the
+	// latches those paths already hold.
 	if len(h.culled) != 0 {
 		m.reactivateCulled(s, h)
 	}
@@ -2746,12 +2661,20 @@ func (m *Manager) cancel(o *Owner, name Name) {
 // revalidation: a request is released only if it is still the owner's live
 // entry for its name.
 //
-// Post-condition. When ReleaseAll returns, every request that was already
-// waiting when it was called, behind a lock it released, has been granted
-// (its Pending completed, its onGrant continuation queued) unless another
-// holder or an earlier waiter still blocks it. A commit stages its batch
-// for a flush leader (grouprelease.go) only on a shard with no waiters,
-// where it can block no one queued.
+// Post-condition. When ReleaseAll returns:
+//   - the owner is charged nothing: every structure it held is back in
+//     its home shard's pool, and its application's charged structs have
+//     dropped by the owner's whole charge;
+//   - no request of the owner is still waiting: each one in flight when
+//     ReleaseAll was called reports a terminal status (denied, or granted
+//     and then released);
+//   - every request of another owner that was already waiting behind a
+//     lock it released has been granted (its status terminal, its Done
+//     closed, its onGrant continuation queued) unless another holder or
+//     an earlier waiter still blocks it.
+//
+// A duplicate call racing the first returns at once; the post-condition
+// holds once the first call returns.
 func (m *Manager) ReleaseAll(o *Owner) {
 	m.releaseAll(o, false)
 }
@@ -2779,8 +2702,7 @@ func (m *Manager) FinishOwner(o *Owner) {
 // releaseAll does the work; it reports whether this call performed the
 // release (false when a racing ReleaseAll got there first). recycle is
 // FinishOwner's exclusive-pointer promise: when set (and the owner never
-// waited) the owner is pooled after its last staged batch is applied —
-// by this call if none were staged, by the final flush leader otherwise.
+// waited) the owner is pooled at the end of the walk.
 func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	// Release-latency sampling: one in relSampler.Stride() commits pays
 	// for the two clock reads bracketing the walk. The stride counter is
@@ -2803,25 +2725,17 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	// Snapshot (name, request, shard) triples, rows before tables. Names
 	// are copied out of the held index — revalidation and shard routing
 	// never dereference a request pointer that a concurrent continuation
-	// might have released (and recycling might have rewritten). The batch,
-	// the drain, and the staged-batch arsenal are all owner-embedded
-	// scratch, so the steady-state commit walk allocates nothing and
-	// touches no sync.Pool.
+	// might have released (and recycling might have rewritten). The batch
+	// and the drain are owner-embedded scratch, so the steady-state commit
+	// walk allocates nothing and touches no sync.Pool.
 	batch := &o.walkBatch
 	batch.reset()
 	shards := o.touchedShards(batch.buf[:0])
 	if quiesced {
-		// Snapshot AND detach in one pass: from here on the batch (and
-		// any per-shard staged copies of it) is the only path to these
-		// requests, so flush leaders never touch the owner's indexes.
-		// The walk holds one stagedRefs bias; it is dropped as the very
-		// last step below, so a leader draining a staged batch early can
-		// never tear the owner down under the walk. everWaited is stable
-		// for a quiesced owner, so the recycle decision is final here.
+		// Snapshot AND detach in one pass: from here on the batch is the
+		// only path to these requests, and the shard visits below never
+		// touch the owner's indexes.
 		batch.collectDetach(m, o)
-		o.stagedRefs.Store(1)
-		o.recycleOnZero = recycle && !o.everWaited
-		o.sbUsed = 0
 	}
 	o.mu.Unlock()
 
@@ -2830,64 +2744,41 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 		if quiesced && !batch.hasShard(si) {
 			continue // nothing held there and no waits in flight
 		}
-		if quiesced {
-			// Commit path: group release. The visit latches the shard
-			// itself only when the latch is free; otherwise the batch is
-			// staged on the shard's MPSC list for a flush leader to apply
-			// together with every other committer's (grouprelease.go).
-			m.releaseShardGrouped(si, o, batch, drain)
-			continue
-		}
 		s := m.lockShard(si)
-		// Abort path: withdraw this shard's waiting requests first
-		// (queued waiters, parked requests, in-flight conversions —
-		// a denied conversion reverts to its granted mode and is
-		// then released below). Skipped entirely when the shard has
-		// no waiters at all.
-		if len(s.waiting) > 0 {
-			var victims []*request
-			for req := range s.waiting {
-				if req.owner == o {
-					victims = append(victims, req)
+		if !quiesced {
+			// Abort path: withdraw this shard's waiting requests first
+			// (queued waiters, parked requests, in-flight conversions —
+			// a denied conversion reverts to its granted mode and is
+			// then released below). Skipped entirely when the shard has
+			// no waiters at all.
+			if len(s.waiting) > 0 {
+				var victims []*request
+				for req := range s.waiting {
+					if req.owner == o {
+						victims = append(victims, req)
+					}
+				}
+				for _, req := range victims {
+					m.deny(req, ErrCanceled)
 				}
 			}
-			for _, req := range victims {
-				m.deny(req, ErrCanceled)
-			}
+			// Re-read the held set for this shard: a wait granted after
+			// the release flag was set landed here under this latch.
+			batch.reset()
+			o.mu.Lock()
+			batch.collectShard(m, o, si)
+			o.mu.Unlock()
 		}
-		// Re-read the held set for this shard: a wait granted after
-		// the release flag was set landed here under this latch.
-		batch.reset()
-		o.mu.Lock()
-		batch.collectShard(m, o, si)
-		o.mu.Unlock()
-		m.releaseShardPhase1(s, si, o, batch, false, drain)
+		m.releaseShard(s, si, o, batch, quiesced, drain)
 		m.relBatches.Shard(si).Inc()
-		m.finishShardVisit(s, si, drain)
 		m.unlockShard(s)
-	}
-	// Flush triggers: the walk staged fire-and-forget batches on storming
-	// shards; before letting go, elect this committer flush leader on any
-	// touched shard whose staging list is due — enough batches for a
-	// worthwhile combined drain, or waiters that must not be left behind
-	// staged releases. The drained grants merge into this walk's wake
-	// pass. Shards below both bars keep accumulating: the next commit,
-	// the next conflicting acquire (which always flushes first), or an
-	// invariant sweep picks them up.
-	if quiesced {
-		for _, si := range shards {
-			m.maybeFlushShard(si, drain)
-		}
 	}
 	batch.buf = shards[:0]
 	batch.reset()
 
-	// The single deferred wake pass: every FIFO grant the walk (and any
-	// staged batches its shard visits drained) produced is completed here,
-	// with no latches held — wake-side work never re-latches a shard the
-	// walk already dropped. The owner-embedded drain is safe to use up to
-	// this point: the walk's stagedRefs bias (dropped below, last) keeps
-	// the owner from being recycled under it.
+	// The single deferred wake pass: every FIFO grant the walk produced
+	// is woken here, with no latches held — wake-side work never
+	// re-latches a shard the walk already dropped.
 	m.fireWakes(drain)
 
 	if sampled {
@@ -2908,27 +2799,10 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	}
 	o.regPrev, o.regNext = nil, nil
 	m.nOwners--
-	lastOut := m.nOwners == 0
 	m.ownersMu.Unlock()
 	m.flushConts()
-	if lastOut {
-		// Last one out turns off the lights: with no owner left to commit
-		// (and thus no future flush trigger), force-apply every staged
-		// batch so an idle manager charges nothing for finished
-		// transactions. New owners registering concurrently stage into
-		// freshly observed lists and carry their own triggers.
-		m.flushAllStaged(drain)
-	}
 
-	if quiesced {
-		// Drop the walk's stagedRefs bias — the walk's very last touch of
-		// the owner. If every staged batch has already been applied this
-		// performs the teardown; otherwise the final flush leader does.
-		m.dropStagedRef(o)
-	} else if recycle && !o.everWaited {
-		// Abort path never stages (and in practice never recycles — an
-		// owner with waits in flight has everWaited set); kept for the
-		// contract's sake.
+	if recycle && !o.everWaited {
 		o.resetForReuse()
 		m.ownerPool.Put(o)
 	}
@@ -2949,8 +2823,6 @@ func (o *Owner) resetForReuse() {
 	}
 	o.inWait.Store(0)
 	o.obsTick = 0
-	o.stagedRefs.Store(0)
-	o.recycleOnZero = false
 }
 
 // reset clears a per-table index for owner reuse, keeping a spill map
@@ -2981,31 +2853,16 @@ type releaseEntry struct {
 
 // releaseBatch snapshots an owner's held locks for the touched-shard
 // release walk: two flat slices (rows, then tables — the pinned per-shard
-// release order) plus a bitmap of the shards they live in. Batches are
-// pooled and their slices keep their capacity across commits, so the
-// steady-state walk allocates nothing.
+// release order) plus a bitmap of the shards they live in. Each owner
+// embeds one, and its slices keep their capacity across the owner's
+// transactions, so the steady-state walk allocates nothing.
 type releaseBatch struct {
 	rows   []releaseEntry
 	tables []releaseEntry
 	shards [maxShardWords]uint64
 	buf    []int // scratch for touchedShards
 	live   []*request
-
-	// Staging fields (grouprelease.go). A commit visiting a storming
-	// shard copies that shard's entries into a dedicated pooled batch and
-	// publishes it on the shard's MPSC list — fire-and-forget: the
-	// entries were already detached from the owner's indexes at collect
-	// time, so the stager never touches the batch again and a flush
-	// leader returns it to the pool after applying it. next links the
-	// staging list: it is written before the publishing CAS and read only
-	// after the leader's Swap, so it needs no atomicity of its own.
-	next        *releaseBatch
-	stagedOwner *Owner
-	pooled      bool // from releaseBatchPool (vs owner arsenal): leader returns it
-	stagedShard int
 }
-
-var releaseBatchPool = sync.Pool{New: func() any { return new(releaseBatch) }}
 
 func (b *releaseBatch) reset() {
 	b.rows = b.rows[:0]
@@ -3036,13 +2893,10 @@ func (b *releaseBatch) collect(m *Manager, o *Owner) {
 // collectDetach buckets every held lock and then wipes the owner's held
 // and per-table indexes wholesale. Caller holds o.mu and has proved the
 // owner quiesced (released set, inWait == 0), so the snapshot is exact and
-// nothing can repopulate the indexes. Detaching here — rather than under
-// each shard latch during the walk — is what makes staged batches
-// self-contained: a flush leader applying one touches the lock table, the
-// request, and the app's atomic quota, but never the owner's indexes, so
-// leaders on different shards can apply the same owner's batches
-// concurrently. The requests stay granted (table truth is untouched until
-// a latched drain applies the batch); only the owner-side view is gone.
+// nothing can repopulate the indexes. Detaching here, in one o.mu
+// section, spares every shard visit an o.mu section of its own. The
+// requests stay granted (table truth is untouched until the walk's latched
+// visit applies the batch); only the owner-side view is gone.
 func (b *releaseBatch) collectDetach(m *Manager, o *Owner) {
 	b.collect(m, o)
 	o.resetIndexes()
@@ -3058,16 +2912,16 @@ func (b *releaseBatch) collectShard(m *Manager, o *Owner, si int) {
 	})
 }
 
-// releaseShardPhase1 releases one shard's share of the batch: revalidate
-// and unlink every entry in a single o.mu critical section (rows first,
-// then tables — the pinned order), then unlink each release from the lock
-// table, free its structures, and recycle the boxes of committed blocking
-// acquires into the shard's cache. Headers that still need a FIFO posting
-// pass, the pooled frees awaiting one SettleFree, and the fast credit
-// awaiting one recredit accumulate into the drain: the caller finishes the
-// visit — settle once, post once — with finishShardVisit, after applying
-// every batch it means to (its own plus any staged by other committers).
-// Caller holds the shard latch.
+// releaseShard is one latched release visit: it releases shard si's share
+// of the batch and finishes the visit. First it revalidates and unlinks
+// every entry in a single o.mu critical section (rows first, then tables —
+// the pinned order); then it unlinks each release from the lock table,
+// frees its structures, recycles the boxes of committed blocking acquires
+// into the shard's cache, settles pool, chain and app accounting once, and
+// runs one FIFO posting pass over the headers that need one (grant
+// wakeups coalesce into d's wake list). Caller holds the shard latch and
+// drops it right after; the wakes fire later, with no latches held
+// (fireWakes).
 //
 // frozen says the caller proved the owner's held set can no longer change
 // concurrently (the quiesced commit path: released was set under o.mu with
@@ -3075,13 +2929,10 @@ func (b *releaseBatch) collectShard(m *Manager, o *Owner, si int) {
 // and no waits or escalation continuations exist to complete). Frozen
 // batches were also detached from the owner's indexes at collect time
 // (collectDetach), so the frozen walk touches only the requests, the lock
-// table, and the app's atomic quota — never o.mu or the held index. That
-// is what lets flush leaders on different shards apply the same owner's
-// staged batches concurrently: each request lives in exactly one batch,
-// and everything a leader touches is either request-local or guarded by
-// the latch it holds. The abort path (waits in flight) passes frozen=false
-// and pays o.mu plus pointer revalidation.
-func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch, frozen bool, d *releaseDrain) {
+// table, and the app's atomic quota — never o.mu or the held index. The
+// abort path (waits in flight) passes frozen=false and pays o.mu plus
+// pointer revalidation.
+func (m *Manager) releaseShard(s *shard, si int, o *Owner, b *releaseBatch, frozen bool, d *releaseDrain) {
 	live := b.live[:0]
 	if !frozen {
 		o.mu.Lock()
@@ -3117,18 +2968,17 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 	}
 	// Unlink every released request from the lock table and return its
 	// structures to the shard pool, accumulating the chain and app
-	// accounting instead of paying an atomic per lock. Within one batch
-	// headers are distinct (one request per name per owner), but a leader
-	// draining several batches can meet the same header again — the
-	// postPending flag queues it for the posting pass exactly once. A
-	// published queue-free header is settled immediately after its unlink —
-	// post would be a no-op and cacheOrEvictDeferred keeps it resident
-	// regardless — so the hot headers of a fast-path workload are fenced
-	// for one holder removal, not the whole batch. (The word reopens before
-	// the accounting below lands; a racing fast grant that sees the stale
+	// accounting instead of paying an atomic per lock. Headers are
+	// distinct (one request per name per owner), so each one that needs
+	// the posting pass is queued for it once. A published queue-free
+	// header is settled immediately after its unlink — post would be a
+	// no-op and cacheOrEvictDeferred keeps it resident regardless — so the
+	// hot headers of a fast-path workload are fenced for one holder
+	// removal, not the whole batch. (The word reopens before the
+	// accounting below lands; a racing fast grant that sees the stale
 	// credit or quota merely falls back.) Everything else — headers with
-	// queues (fenced anyway) and unpublished headers (not fast-reachable) —
-	// defers to the visit's posting pass.
+	// queues (fenced anyway) and unpublished headers (not fast-reachable)
+	// — defers to the visit's posting pass.
 	poolFreed, weightFreed, fastFreed := 0, 0, 0
 	for _, r := range live {
 		if !r.grantedAt.IsZero() {
@@ -3172,49 +3022,33 @@ func (m *Manager) releaseShardPhase1(s *shard, si int, o *Owner, b *releaseBatch
 		h.recomputeGroupMode()
 		if h.published && len(h.converters) == 0 && len(h.waiters) == 0 && len(h.culled) == 0 {
 			m.settleFast(s, h)
-		} else if !h.postPending {
-			h.postPending = true
+		} else {
 			d.hdrs = append(d.hdrs, h)
 		}
 	}
-	d.poolFreed += poolFreed
-	d.fastFreed += fastFreed
-	// App quota settles per batch (each batch has its own application);
-	// chain and pool totals settle once per visit in finishShardVisit.
 	if weightFreed > 0 {
 		o.app.structs.Add(-int64(weightFreed))
 	}
 	// Box recycling: live requests are fully unlinked, and one that never
 	// escaped was never queued (so the posting pass cannot reference it)
-	// and never handed its Pending out — recycle before the drain moves on
-	// to the next batch.
+	// and never handed its Pending out.
 	for _, r := range live {
 		if !r.escaped {
 			m.recycleBox(s, r.box)
 		}
 	}
 	b.live = live[:0]
-}
 
-// finishShardVisit completes a latched release visit after every batch —
-// the caller's own and any staged ones — has gone through
-// releaseShardPhase1: settle the pooled frees and fast credit once, run the
-// FIFO posting pass over the deferred headers (grant completions coalesce
-// into the drain's wake list), and sync the table mirror once. Caller holds
-// the shard latch and drops it right after; the wakes fire later, with no
-// latches held (fireWakes).
-func (m *Manager) finishShardVisit(s *shard, si int, d *releaseDrain) {
 	// Settle accounting before posting: a grant fired by post reads the
 	// app quota and chain usage, and must see the whole release.
-	s.pool.SettleFree(d.poolFreed)
-	if d.fastFreed > 0 {
-		s.fastFree.Add(int64(d.fastFreed))
-		m.chain.ReturnReserved(d.fastFreed)
+	s.pool.SettleFree(poolFreed)
+	if fastFreed > 0 {
+		s.fastFree.Add(int64(fastFreed))
+		m.chain.ReturnReserved(fastFreed)
 	}
 	evicted := false
 	wakes0 := len(d.wakes)
 	for _, h := range d.hdrs {
-		h.postPending = false
 		m.post(s, h, d)
 		evicted = s.cacheOrEvictDeferred(h) || evicted
 		m.settleFast(s, h)
@@ -3226,7 +3060,6 @@ func (m *Manager) finishShardVisit(s *shard, si int, d *releaseDrain) {
 		m.wakesCoalesced.Shard(si).Add(int64(n))
 	}
 	d.hdrs = d.hdrs[:0]
-	d.poolFreed, d.fastFreed = 0, 0
 }
 
 // deadline computes the wait deadline for a new waiter.
@@ -3533,25 +3366,4 @@ func (m *Manager) ShardStatsSnapshot() []ShardStats {
 		}
 	}
 	return out
-}
-
-// LeaseRefills returns the cumulative number of lease batches shards have
-// taken from the chain; with LeaseReturns it measures how often the chain
-// mutex appears on the data path.
-func (m *Manager) LeaseRefills() int64 {
-	var n int64
-	for i := range m.shards {
-		n += m.shards[i].pool.Refills()
-	}
-	return n
-}
-
-// LeaseReturns returns the cumulative number of lease batches given back to
-// the chain.
-func (m *Manager) LeaseReturns() int64 {
-	var n int64
-	for i := range m.shards {
-		n += m.shards[i].pool.Returns()
-	}
-	return n
 }

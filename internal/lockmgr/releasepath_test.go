@@ -523,3 +523,273 @@ func TestFinishOwnerRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// rowsInShard returns n distinct row ids of table whose lock names all
+// hash to shard si.
+func rowsInShard(m *Manager, table uint32, si, n int) []uint64 {
+	rows := make([]uint64, 0, n)
+	for row := uint64(0); len(rows) < n; row++ {
+		if m.ShardOf(RowName(table, row)) == si {
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
+// TestReleaseFIFOOrder: a chain of releases on one lock grants its queue in
+// strict FIFO order. Each waiter, once granted, commits at once, so every
+// release except the last finds waiters queued behind it; wakeups still
+// coalesce into each walk's wake pass, and the observed grant sequence
+// must match the enqueue order exactly.
+func TestReleaseFIFOOrder(t *testing.T) {
+	const waiters = 32
+	m := newMgr(Config{})
+	app := m.RegisterApp()
+	row := RowName(1, 1)
+
+	holder := m.NewOwner(app)
+	mustGrant(t, m.AcquireAsync(holder, row, ModeX, 1), "holder X")
+
+	owners := make([]*Owner, waiters)
+	pendings := make([]*Pending, waiters)
+	for i := range owners {
+		owners[i] = m.NewOwner(app)
+		pendings[i] = m.AcquireAsync(owners[i], row, ModeX, 1)
+		mustWait(t, pendings[i], "queued waiter")
+	}
+
+	var seq atomic.Int64
+	order := make([]int64, waiters)
+	var wg sync.WaitGroup
+	for i := range owners {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-pendings[i].Done()
+			if st, err := pendings[i].Status(); st != StatusGranted {
+				t.Errorf("waiter %d: status=%v err=%v", i, st, err)
+				return
+			}
+			order[i] = seq.Add(1) - 1
+			m.ReleaseAll(owners[i])
+		}(i)
+	}
+	m.ReleaseAll(holder)
+	wg.Wait()
+
+	for i, got := range order {
+		if got != int64(i) {
+			t.Fatalf("FIFO violated: waiter %d granted at position %d", i, got)
+		}
+	}
+	if m.WakeupsCoalesced() == 0 {
+		t.Fatal("no wakeups were coalesced")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseAllGrantsWaitersBeforeReturn pins ReleaseAll's post-condition
+// for successors: a waiter queued behind the released lock is granted by
+// the time ReleaseAll returns — its status terminal and its Done channel
+// already closed.
+func TestReleaseAllGrantsWaitersBeforeReturn(t *testing.T) {
+	m := newMgr(Config{})
+	app := m.RegisterApp()
+	row := RowName(1, 1)
+
+	holder, waiter := m.NewOwner(app), m.NewOwner(app)
+	mustGrant(t, m.AcquireAsync(holder, row, ModeX, 1), "holder X")
+	p := m.AcquireAsync(waiter, row, ModeX, 1)
+	mustWait(t, p, "waiter")
+	done := p.Done()
+
+	m.FinishOwner(holder)
+	if st, err := p.Status(); st != StatusGranted {
+		t.Fatalf("waiter when ReleaseAll returned: status=%v err=%v", st, err)
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("waiter granted but its Done channel still open after ReleaseAll")
+	}
+	m.FinishOwner(waiter)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFinishOwnerUnchargesBeforeReturn pins ReleaseAll's post-condition
+// for the releasing owner: under a commit storm on two hot shards, every
+// FinishOwner returns with the owner's application charged exactly what
+// it was charged before the transaction began — no release is left
+// pending for another goroutine to apply.
+func TestFinishOwnerUnchargesBeforeReturn(t *testing.T) {
+	const (
+		goroutines = 64
+		txPerG     = 200
+	)
+	m := newMgr(Config{InitialPages: 32 * 16})
+	// Two hot shards: each goroutine locks one private row in each.
+	rowsA := rowsInShard(m, 1, 0, goroutines)
+	rowsB := rowsInShard(m, 1, 1, goroutines)
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			app := m.RegisterApp()
+			for tx := 0; tx < txPerG; tx++ {
+				before := m.AppStructs(app)
+				o := m.NewOwner(app)
+				for _, name := range []Name{RowName(1, rowsA[g]), RowName(1, rowsB[g])} {
+					if st, err := m.AcquireAsync(o, name, ModeX, 1).Status(); st != StatusGranted {
+						t.Errorf("g%d tx%d %v: status=%v err=%v", g, tx, name, st, err)
+						return
+					}
+				}
+				m.FinishOwner(o)
+				if got := m.AppStructs(app); got != before {
+					t.Errorf("g%d tx%d: app charged %d structs after FinishOwner, %d before the transaction",
+						g, tx, got, before)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := m.UsedStructs(); got != 0 {
+		t.Fatalf("used structs after storm = %d, want 0", got)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllocsHeaderChurn: a transaction whose locks create more headers in
+// one shard than the shard's header freelist holds reuses the evicted
+// overflow from the manager's header pool, so once warm it allocates at
+// most one object however many headers it churns.
+func TestAllocsHeaderChurn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const locks = 2*headerFreelistCap + 8
+	m := newMgr(Config{Shards: 1})
+	app := m.RegisterApp()
+	run := func() {
+		o := m.NewOwner(app)
+		for i := 0; i < locks; i++ {
+			if st, err := m.AcquireAsync(o, RowName(1, uint64(i)), ModeX, 1).Status(); st != StatusGranted {
+				t.Fatalf("row %d: status=%v err=%v", i, st, err)
+			}
+		}
+		m.FinishOwner(o)
+	}
+	for i := 0; i < 4; i++ {
+		run() // warm the caches
+	}
+	if a := testing.AllocsPerRun(100, run); a > 1 {
+		t.Fatalf("%v allocations per transaction creating %d headers, want ≤ 1", a, locks)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCommitStormRacingControlPlane: a commit storm on a small hot row set
+// racing the whole control plane — CheckInvariants' stopped-world sweep,
+// deadlock detection, timeout sweeps, and quota-driven escalation. The
+// tight per-app quota forces escalations to table locks mid-storm;
+// concurrent escalations of the same table can genuinely deadlock, which
+// is exactly what the racing detector must resolve. The test asserts no
+// invariant violation, no lost transaction, and a clean final state.
+func TestCommitStormRacingControlPlane(t *testing.T) {
+	const (
+		goroutines = 8
+		txPerG     = 200
+		hotRows    = 64
+	)
+	m := newMgr(Config{
+		InitialPages: 32,
+		Quota:        fixedQuota(25),
+		LockTimeout:  5 * time.Second,
+	})
+
+	stop := make(chan struct{})
+	var sweeperWG sync.WaitGroup
+	sweeperWG.Add(1)
+	go func() {
+		defer sweeperWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Errorf("invariants: %v", err)
+				return
+			}
+			m.DetectDeadlocks()
+			m.SweepTimeouts()
+		}
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-stop:
+		default:
+			close(stop)
+		}
+		sweeperWG.Wait()
+	})
+
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	var commits, denials atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			app := m.RegisterApp()
+			for tx := 0; tx < txPerG; tx++ {
+				o := m.NewOwner(app)
+				ok := true
+				// Ascending row order: conflicts queue FIFO instead of
+				// deadlocking (escalation can still deadlock — that is
+				// the detector's job).
+				for l := 0; l < 3; l++ {
+					row := uint64((g*txPerG + tx*3 + l*7) % hotRows)
+					if err := m.Acquire(ctx, o, RowName(1, row), ModeX, 1); err != nil {
+						if !errors.Is(err, ErrQuotaExceeded) && !errors.Is(err, ErrDeadlock) &&
+							!errors.Is(err, ErrLockMemory) && !errors.Is(err, ErrTimeout) {
+							t.Errorf("g%d tx%d: %v", g, tx, err)
+						}
+						denials.Add(1)
+						ok = false
+						break
+					}
+				}
+				m.FinishOwner(o)
+				if ok {
+					commits.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	sweeperWG.Wait()
+
+	if commits.Load() == 0 {
+		t.Fatal("no transaction ever committed")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if m.ReleaseBatches() == 0 {
+		t.Fatal("no release batches were applied")
+	}
+}

@@ -15,10 +15,10 @@ package lockmgr
 // LockTimeout and owner abort) and stacked on its header's culled LIFO,
 // but holds no lock structures, no quota, no FIFO queue position, and
 // exports no deadlock-graph edges. Reactivation piggybacks on the posting
-// pass (post): direct releases, denials, and the group-release flush
-// leader's deferred posting pass all refill the active queue from the
-// culled stack as headroom opens, re-running the full admission pipeline
-// via a self-latching continuation (retryCulled, the retryParked shape).
+// pass (post): direct releases, denials, and the release walk's posting
+// pass all refill the active queue from the culled stack as headroom
+// opens, re-running the full admission pipeline via a self-latching
+// continuation (retryCulled, the retryParked shape).
 // LIFO order is deliberate — the most recently culled waiter's goroutine
 // and cache state are the warmest (Dice & Kogan's "passive set" policy).
 //
@@ -163,17 +163,22 @@ func (m *Manager) reactivateCulled(s *shard, h *lockHeader) {
 
 // popCulled removes h.culled[i], counts the reactivation, and enqueues the
 // continuation that re-runs admission for it. Caller holds the shard
-// latch.
+// latch. Until the continuation runs the request stays in the waiting set
+// but holds no queue position, so it drops its header: a latched reader of
+// req.header (the deadlock detector's edge export) would otherwise read a
+// granted group the fast path may be mutating, as h is no longer fenced
+// once its queues and culled stack are empty.
 func (m *Manager) popCulled(s *shard, h *lockHeader, i int) {
 	req := h.culled[i]
 	copy(h.culled[i:], h.culled[i+1:])
 	h.culled[len(h.culled)-1] = nil
 	h.culled = h.culled[:len(h.culled)-1]
 	req.culled = false
+	req.header = nil
 	h.reactInFlight++
 	m.throtReact.Shard(s.idx).Inc()
 	m.throtLive.Add(-1)
-	m.enqueueCont(func(mm *Manager) { mm.retryCulled(req) })
+	m.enqueueCont(func(mm *Manager) { mm.retryCulled(req, h) })
 }
 
 // retryCulled re-runs the admission pipeline for a reactivated culled
@@ -181,14 +186,13 @@ func (m *Manager) popCulled(s *shard, h *lockHeader, i int) {
 // between the pop and this continuation. It runs with no latches held and
 // mirrors retryParked: latch the home shard, release the reserved queue
 // slot, re-check the pending, then fast-path admission with a global
-// fallback. The header stays resident across the window — eviction is
-// pinned by reactInFlight (cacheOrEvictDeferred) — so the decrement
-// through req.header is safe.
-func (m *Manager) retryCulled(req *request) {
+// fallback. h is the header the request was culled on; it stays resident
+// across the window — eviction is pinned by reactInFlight
+// (cacheOrEvictDeferred) — so the decrement through h is safe.
+func (m *Manager) retryCulled(req *request, h *lockHeader) {
 	si := m.shardOf(req.name)
 	s := m.lockShard(si)
-	h := req.header
-	if h != nil && h.reactInFlight > 0 {
+	if h.reactInFlight > 0 {
 		h.reactInFlight--
 	}
 	s.delWaiting(req)
@@ -202,18 +206,7 @@ func (m *Manager) retryCulled(req *request) {
 		m.unlockShard(s)
 		return
 	}
-	ok := m.startRequest(s, si, req, false)
-	m.unlockShard(s)
-	if !ok {
-		// Same admission-of-last-resort rationale as retryParked: the
-		// retry may need quota growth or an escalation, which require
-		// every latch.
-		m.runGlobal(func() {
-			if !m.startRequest(s, si, req, true) {
-				panic("lockmgr: global culled retry deferred admission")
-			}
-		})
-	}
+	m.readmit(s, si, req)
 }
 
 // sweepCulled is the liveness valve (see the file comment): for each

@@ -218,9 +218,13 @@ func TestThrottleAbortWhileCulled(t *testing.T) {
 func TestThrottleDeadlockVictimCulledThenReactivated(t *testing.T) {
 	m := newMgr(Config{Throttle: 1, Shards: 1})
 	rowA, rowB := RowName(1, 1), RowName(1, 2)
+	// The filler is the oldest owner: once o2 is reactivated it queues
+	// behind the filler, closing a second cycle o2 → filler → o1 → o2,
+	// and the detector may find either cycle first. With o2 the youngest
+	// owner on both, either one names o2 the victim.
+	filler := m.NewOwner(m.RegisterApp())
 	o1 := m.NewOwner(m.RegisterApp())
 	o2 := m.NewOwner(m.RegisterApp())
-	filler := m.NewOwner(m.RegisterApp())
 
 	mustGrant(t, m.AcquireAsync(o1, rowA, ModeX, 1), "o1 X A")
 	mustGrant(t, m.AcquireAsync(o2, rowB, ModeX, 1), "o2 X B")
