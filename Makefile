@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lockbench lockbench-test bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
+.PHONY: all build test race allocs lockbench lockbench-test bench bench-lock bench-engine bench-obs bench-obs-profiler bench-commit bench-read bench-latch bench-throttle bench-diff smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle obs-demo verify fmt vet
 
 all: build
 
@@ -20,6 +20,12 @@ test:
 race:
 	$(GO) test -race -cpu 1,4 ./internal/latch ./internal/lockmgr ./internal/memblock \
 		./internal/engine ./internal/obs ./internal/trace ./internal/txn
+
+# allocs runs the allocation-count tests (TestAllocs*) at GOMAXPROCS 1
+# and 4. They skip under -race, where allocation counts mean nothing, so
+# the race target cannot cover them; this target runs them without it.
+allocs:
+	$(GO) test -count=1 -cpu 1,4 -run 'TestAllocs' ./internal/lockmgr ./internal/txn
 
 # lockbench runs the lock-path benchmark (lockbench/README.md) on this
 # checkout — one workload, seed, run length in seconds and trace setting:
@@ -224,11 +230,12 @@ obs-demo: build
 
 # verify is the tier-1 gate (see ROADMAP.md): formatting, vet, build, the
 # full test suite, the lock-path benchmark's self-tests, the race-detector
-# pass over the concurrency-sensitive packages, and one-iteration smoke
+# pass over the concurrency-sensitive packages, the allocation-count tests
+# at more than one P, and one-iteration smoke
 # runs of the read-path benches, the release walk's coalesced wakeups, the
 # contention profiler's live endpoints, the spin-then-park latch counters
 # on /metrics, and the admission throttle's cull/reactivate accounting.
-verify: fmt vet build test lockbench-test race smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
+verify: fmt vet build test lockbench-test race allocs smoke-read smoke-commit smoke-profile smoke-latch smoke-throttle
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -83,7 +83,6 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 		// waiting set, so they are escaped (never box-recycled) and
 		// count in the owner's inWait gauge — once, even across re-parks.
 		parked.escaped = true
-		parked.owner.everWaited = true
 		if parked.waitStart.IsZero() {
 			parked.owner.inWait.Add(1)
 		}
@@ -91,12 +90,18 @@ func (m *Manager) escalate(o *Owner, parked *request) bool {
 		m.shardFor(parked.name).addWaiting(parked)
 	}
 
+	// Exactly one of the pair runs — the conversion is granted or denied,
+	// never both — so one pin covers it, dropped as that step's last touch
+	// of o (parked is o's request too).
+	o.pin()
 	continueAfter := func(m *Manager) {
 		m.freeEscalatedRows(o, victim)
 		m.retryParked(parked)
+		o.unpin()
 	}
 	abandon := func(m *Manager, err error) {
 		m.abandonParked(parked, err)
+		o.unpin()
 	}
 
 	if Supremum(victimOT.tableReq.mode, target) == victimOT.tableReq.mode {

@@ -339,7 +339,11 @@ func TestFastPathRaceResize(t *testing.T) {
 			}
 		}(int64(g))
 	}
+	// The resizer is stopped from t.Cleanup as well, so a failure in the
+	// body cannot leave it running into later tests.
 	resizerDone := make(chan struct{})
+	stopResizer := sync.OnceFunc(func() { close(stop); <-resizerDone })
+	t.Cleanup(stopResizer)
 	go func() {
 		defer close(resizerDone)
 		sizes := []int{32 * 4, 32 * 8, 32 * 2, 32 * 8}
@@ -358,8 +362,7 @@ func TestFastPathRaceResize(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	close(stop)
-	<-resizerDone
+	stopResizer()
 	m.Resize(32 * 8)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -171,6 +171,18 @@ func (m *Manager) checkInvariantsLocked() error {
 			}
 		}
 	}
+	// Queued culled retries, by owner and by header. Lock order: shard
+	// latches → contMu, as in every enqueue.
+	queuedByOwner := make(map[*Owner]int32)
+	queuedByHeader := make(map[*lockHeader]int)
+	m.contMu.Lock()
+	for _, c := range m.conts[m.contHead:] {
+		if c.req != nil {
+			queuedByOwner[c.req.owner]++
+			queuedByHeader[c.h]++
+		}
+	}
+	m.contMu.Unlock()
 	appStructs := make(map[int]int)
 	inWait := make(map[*Owner]int)
 	liveCulled, reactInFlight := 0, 0
@@ -204,11 +216,13 @@ func (m *Manager) checkInvariantsLocked() error {
 			if m.shardOf(name) != i {
 				return fmt.Errorf("lockmgr: %v hashed to shard %d but stored in %d", name, m.shardOf(name), i)
 			}
-			if h.empty() && !h.published {
+			if h.empty() && !h.published && h.reactInFlight == 0 {
 				// Published headers are deliberately kept resident while
-				// empty (deferred reclamation keeps hot keys latch-free);
-				// everything else must be evicted when its last interest
-				// leaves.
+				// empty (deferred reclamation keeps hot keys latch-free),
+				// and so are headers with culled retries in flight (their
+				// continuations decrement reactInFlight through the
+				// header); everything else must be evicted when its last
+				// interest leaves.
 				return fmt.Errorf("lockmgr: empty header %v not deleted", name)
 			}
 			// Grant word vs latched chain state. The world is stopped
@@ -408,12 +422,33 @@ func (m *Manager) checkInvariantsLocked() error {
 	// popped waiters are already counted reactivated whether or not their
 	// continuation has run.
 	_ = reactInFlight
+	// Each queued retry holds one reactivation on its header, which keeps
+	// the header resident until the retry has run.
+	for h, n := range queuedByHeader {
+		if m.shardFor(h.name).table[h.name] != h {
+			return fmt.Errorf("lockmgr: queued culled retry's header %v not resident", h.name)
+		}
+		if h.reactInFlight < n {
+			return fmt.Errorf("lockmgr: %v has %d queued retries but %d reactivations in flight", h.name, n, h.reactInFlight)
+		}
+	}
 	if culled, react, den := m.throtCulled.Total(), m.throtReact.Total(), m.throtDenied.Total(); culled != react+den+int64(liveCulled) {
 		return fmt.Errorf("lockmgr: culled waiters lost: culled %d != reactivated %d + denied %d + live %d",
 			culled, react, den, liveCulled)
 	}
 	if got := m.throtLive.Load(); got != int64(liveCulled) {
 		return fmt.Errorf("lockmgr: culled live gauge %d, stacks hold %d", got, liveCulled)
+	}
+
+	// Continuation pins (Owner.pins): every queued culled retry references
+	// its owner until it has run, so that owner holds at least one pin per
+	// queued retry — FinishOwner cannot have recycled it. (Escalation steps
+	// are closures and pin too; running continuations are not visible
+	// here, so the count is a lower bound.)
+	for o, n := range queuedByOwner {
+		if got := o.pins.Load(); got < n {
+			return fmt.Errorf("lockmgr: owner %d has %d queued retries but %d pins", o.id, n, got)
+		}
 	}
 
 	// Owner indexes agree with the lock table. ownersMu is held across the
@@ -459,6 +494,10 @@ func (m *Manager) checkInvariantsLocked() error {
 			if got, want := o.inWait.Load(), int32(inWait[o]); got != want {
 				o.mu.Unlock()
 				return fmt.Errorf("lockmgr: owner %d inWait gauge %d, waiting sets hold %d", o.id, got, want)
+			}
+			if p := o.pins.Load(); p < 0 {
+				o.mu.Unlock()
+				return fmt.Errorf("lockmgr: owner %d has negative pin count %d", o.id, p)
 			}
 			var tblErr error
 			o.eachTable(func(tid uint32, ot *ownerTable) bool {

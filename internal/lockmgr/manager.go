@@ -438,12 +438,15 @@ type Owner struct {
 	// path entirely.
 	obsTick uint64
 
-	// everWaited is set (under the home shard latch, before the owner's
-	// release can complete) the first time any of the owner's requests
-	// enters a wait queue. FinishOwner refuses to recycle such owners:
-	// denial and grant continuations may still hold the pointer briefly
-	// after ReleaseAll returns, so they are left to the garbage collector.
-	everWaited bool
+	// pins counts the queued or running continuations that still reference
+	// this owner: a culled waiter's retry (popCulled → retryCulled) and an
+	// escalation's continue/abandon pair (escalate). Each takes its pin
+	// before the continuation can be queued and drops it as its last touch
+	// of the owner. FinishOwner pools the owner only when pins reads 0 after
+	// the release walk; a pinned owner is left to the garbage collector
+	// (counted in Manager.ownersPinned), so no continuation can ever act on
+	// a recycled owner's next transaction.
+	pins atomic.Int32
 
 	// Commit-walk scratch, reused across this owner's transactions so the
 	// steady-state release walk touches no sync.Pool at all: the collect
@@ -455,6 +458,13 @@ type Owner struct {
 	// Registry list links, guarded by Manager.ownersMu.
 	regPrev, regNext *Owner
 }
+
+// pin records one more continuation referencing the owner.
+func (o *Owner) pin() { o.pins.Add(1) }
+
+// unpin drops a continuation's reference; it must be the continuation's
+// last touch of the owner.
+func (o *Owner) unpin() { o.pins.Add(-1) }
 
 // markTouched records that the owner may have a request homed in shard si.
 // Caller holds o.mu.
@@ -1028,21 +1038,20 @@ type shard struct {
 	// mu is the shard latch: an adaptive spin-then-park latch
 	// (internal/latch) whose per-shard spin budget is retuned from the
 	// sampled hold times unlockShard feeds it. Acquire through lockShard
-	// or tryLockShard (they run the profiler bookkeeping); raw
-	// s.mu.Unlock() remains correct everywhere a paired unlockShard is
-	// not wanted (runGlobal's descending sweep, deadlock validation).
+	// (it runs the profiler bookkeeping); raw s.mu.Unlock() remains
+	// correct everywhere a paired unlockShard is not wanted (runGlobal's
+	// descending sweep, deadlock validation).
 	mu      latch.Latch
 	idx     int // position in Manager.shards; set once at New
 	table   map[Name]*lockHeader
 	waiting map[*request]struct{}
 
 	// Latch-profile sampling state, guarded by mu: latchTick advances on
-	// every latched acquisition (lockShard and tryLockShard); when it
-	// hits the sampling stride the acquisition stamps holdT0 and the
-	// matching unlockShard records the hold time. Raw s.mu.Unlock()
-	// sites (runGlobal's descending sweep) simply leave a stale stamp,
-	// which the next stamped acquisition — lockShard or tryLockShard —
-	// clears before anything reads it.
+	// every latched acquisition (lockShard); when it hits the sampling
+	// stride the acquisition stamps holdT0 and the matching unlockShard
+	// records the hold time. Raw s.mu.Unlock() sites (runGlobal's
+	// descending sweep) simply leave a stale stamp, which the next
+	// lockShard clears before anything reads it.
 	latchTick uint64
 	holdT0    time.Time
 	pool      *memblock.Pool // lease cache; guarded by mu
@@ -1191,12 +1200,26 @@ type Manager struct {
 	nextOwner uint64
 	numApps   atomic.Int64
 
-	// Deferred grant/deny continuations (escalation steps). Each
-	// continuation latches the shards it touches itself, so the queue is
-	// enqueued anywhere and drained by flushConts with no latches held.
-	contMu sync.Mutex
-	conts  []func(*Manager)
-	contN  atomic.Int64
+	// ownersPinned counts owners FinishOwner left to the garbage collector
+	// because a continuation still referenced them (Owner.pins).
+	ownersPinned atomic.Int64
+
+	// Deferred continuations: escalation steps and culled waiters'
+	// retries. Each continuation latches the shards it touches itself, so
+	// the queue is enqueued anywhere and drained by flushConts with no
+	// latches held. conts[contHead:] is the live FIFO; the backing array
+	// is kept across drains (pushCont compacts it when full), so a steady
+	// stream of continuations allocates nothing.
+	contMu   sync.Mutex
+	conts    []cont
+	contHead int
+	contN    atomic.Int64
+
+	// Deadlock-detector scratch (deadlock.go), reused by every pass and
+	// emptied at its end. detMu serializes passes; it is taken before any
+	// shard latch.
+	detMu sync.Mutex
+	det   detectScratch
 
 	// Control-plane observability. globalRuns counts runGlobal entries —
 	// all-shard latch acquisitions — and globalHold records the maximum
@@ -1457,24 +1480,6 @@ func (m *Manager) lockShard(i int) *shard {
 	return s
 }
 
-// tryLockShard attempts shard i's latch without blocking. A successful
-// attempt runs the same acquire-side bookkeeping as lockShard — the
-// acquisition count and the sampled hold-stamp advance, which also clears
-// any stale stamp a raw unlock left behind, so a TryLock'd visit can never
-// attribute a bogus hold time to the profile (the manager.go:946 stale
-// holdT0 hazard). A failed attempt is a contended acquire: the latch's own
-// contended counter records it (the contention signal the spin controller
-// tunes from); latchWaits is not bumped because no acquisition happened.
-func (m *Manager) tryLockShard(i int) (*shard, bool) {
-	s := &m.shards[i]
-	if !s.mu.TryLock() {
-		return s, false
-	}
-	m.latchAcqs.Shard(i).Inc()
-	m.stampLatchAcquire(s)
-	return s, true
-}
-
 // stampLatchAcquire advances the sampled hold-time stamp under a
 // just-taken shard latch: one-in-stride acquisitions stamp holdT0 for
 // unlockShard to read; every other acquisition clears a stale stamp left
@@ -1492,11 +1497,10 @@ func (m *Manager) stampLatchAcquire(s *shard) {
 	}
 }
 
-// unlockShard releases a latch taken by lockShard or tryLockShard,
-// recording the sampled hold time when this acquisition was the
-// one-in-stride stamped one — into the latch profile and, as the same
-// sample, into the latch's own hold EWMA, which is what its adaptive spin
-// budget retunes from. The paired form is diagnostics only: raw
+// unlockShard releases a latch taken by lockShard, recording the sampled
+// hold time when this acquisition was the one-in-stride stamped one — into
+// the latch profile and, as the same sample, into the latch's own hold
+// EWMA, which is what its adaptive spin budget retunes from. The paired form is diagnostics only: raw
 // s.mu.Unlock() remains correct everywhere (the sample is simply dropped).
 func (m *Manager) unlockShard(s *shard) {
 	if lp := m.latchProf; lp != nil && !s.holdT0.IsZero() {
@@ -1557,10 +1561,29 @@ func (m *Manager) GlobalHoldMax() time.Duration {
 	return time.Duration(m.globalHold.Value())
 }
 
-// enqueueCont defers a continuation to the next global drain.
-func (m *Manager) enqueueCont(f func(*Manager)) {
+// cont is one queued continuation: a function (escalation steps), or a
+// culled waiter's retry as a typed entry (req, h) — reactivation runs on
+// every hot-lock handoff past the throttle ceiling, so it must not cost a
+// closure.
+type cont struct {
+	f   func(*Manager)
+	req *request // culled waiter to retry (retryCulled), with its header
+	h   *lockHeader
+}
+
+// enqueueCont defers a continuation to the next drain.
+func (m *Manager) enqueueCont(f func(*Manager)) { m.pushCont(cont{f: f}) }
+
+func (m *Manager) pushCont(c cont) {
 	m.contMu.Lock()
-	m.conts = append(m.conts, f)
+	if len(m.conts) == cap(m.conts) && m.contHead > 0 {
+		// Full, with a drained prefix: slide the live entries down rather
+		// than grow, so a queue that never quite empties stays bounded.
+		n := copy(m.conts, m.conts[m.contHead:])
+		clear(m.conts[n:])
+		m.conts, m.contHead = m.conts[:n], 0
+	}
+	m.conts = append(m.conts, c)
 	m.contMu.Unlock()
 	m.contN.Add(1)
 }
@@ -1569,22 +1592,28 @@ func (m *Manager) enqueueCont(f func(*Manager)) {
 // must hold NO shard latches: continuations latch the shards they touch
 // themselves (and may call runGlobal). Continuations may enqueue further
 // continuations; the loop picks those up too. Concurrent drainers are safe
-// — each continuation is popped, and therefore run, exactly once.
+// — each continuation is popped, and therefore run, exactly once. A popped
+// slot is zeroed at once, so the kept backing array pins no owner.
 func (m *Manager) drainConts() {
 	for m.contN.Load() > 0 {
 		m.contMu.Lock()
-		if len(m.conts) == 0 {
+		if m.contHead == len(m.conts) {
 			m.contMu.Unlock()
 			return
 		}
-		f := m.conts[0]
-		m.conts = m.conts[1:]
-		if len(m.conts) == 0 {
-			m.conts = nil
+		c := m.conts[m.contHead]
+		m.conts[m.contHead] = cont{}
+		m.contHead++
+		if m.contHead == len(m.conts) {
+			m.conts, m.contHead = m.conts[:0], 0
 		}
 		m.contMu.Unlock()
 		m.contN.Add(-1)
-		f(m)
+		if c.req != nil {
+			m.retryCulled(c.req, c.h)
+		} else {
+			c.f(m)
+		}
 	}
 }
 
@@ -2339,7 +2368,7 @@ func (m *Manager) deny(req *request, err error) {
 		// Failed conversion: drop back to the original granted mode.
 		for i, c := range h.converters {
 			if c == req {
-				h.converters = append(h.converters[:i], h.converters[i+1:]...)
+				h.converters = removeAt(h.converters, i)
 				break
 			}
 		}
@@ -2366,7 +2395,7 @@ func (m *Manager) deny(req *request, err error) {
 	} else if h != nil {
 		for i, w := range h.waiters {
 			if w == req {
-				h.waiters = append(h.waiters[:i], h.waiters[i+1:]...)
+				h.waiters = removeAt(h.waiters, i)
 				break
 			}
 		}
@@ -2446,11 +2475,9 @@ func (s *shard) cacheOrEvictDeferred(h *lockHeader) bool {
 	}
 	delete(s.table, h.name)
 	// Canonicalize before recycling (or dropping): settleFast on an evicted
-	// header must see ModeNone and publish nothing.
+	// header must see ModeNone and publish nothing. The queues are empty
+	// and keep their backing arrays for the header's next name.
 	h.groupMode = ModeNone
-	h.converters = nil
-	h.waiters = nil
-	h.culled = nil
 	if len(s.hfree) < headerFreelistCap {
 		s.hfree = append(s.hfree, h)
 	} else {
@@ -2493,25 +2520,49 @@ func (m *Manager) postQueues(s *shard, h *lockHeader, d *releaseDrain) {
 	if len(h.converters) == 0 && len(h.waiters) == 0 {
 		return
 	}
-	for len(h.converters) > 0 {
-		c := h.converters[0]
+	k := 0
+	for ; k < len(h.converters); k++ {
+		c := h.converters[k]
 		if !m.canConvert(c, c.convert) {
-			return // converters have priority; nothing else may jump
+			break
 		}
-		h.converters = h.converters[1:]
 		s.delWaiting(c)
 		m.finishConversion(c, d)
 	}
-	for len(h.waiters) > 0 {
-		w := h.waiters[0]
+	h.converters = dropFront(h.converters, k)
+	if len(h.converters) > 0 {
+		return // converters have priority; nothing else may jump
+	}
+	for k = 0; k < len(h.waiters); k++ {
+		w := h.waiters[k]
 		if !Compatible(w.mode, h.groupMode) {
-			return
+			break
 		}
-		h.waiters = h.waiters[1:]
 		s.delWaiting(w)
 		m.installGranted(h, w)
 		m.grantDeferred(w, d)
 	}
+	h.waiters = dropFront(h.waiters, k)
+}
+
+// dropFront removes q's first k entries in place. A FIFO that re-sliced
+// its head away instead would lose the front of its backing array on every
+// grant and reallocate as it refilled; this one keeps its array for the
+// header's lifetime, recycling included.
+func dropFront(q []*request, k int) []*request {
+	if k == 0 {
+		return q
+	}
+	n := copy(q, q[k:])
+	clear(q[n:])
+	return q[:n]
+}
+
+// removeAt removes q[i] in place, keeping order.
+func removeAt(q []*request, i int) []*request {
+	n := copy(q[i:], q[i+1:])
+	q[i+n] = nil
+	return q[:i+n]
 }
 
 // releaseGranted removes a granted request from the lock table, frees its
@@ -2682,11 +2733,13 @@ func (m *Manager) ReleaseAll(o *Owner) {
 // FinishOwner is ReleaseAll plus Owner recycling for callers that can
 // guarantee exclusive ownership of o: no concurrent or later use of the
 // pointer, by ReleaseAll or anything else. (The transaction layer
-// qualifies — its state machine calls finish exactly once.) Owners whose
-// requests ever waited are not recycled: a denial or grant continuation
-// can still hold the pointer for a moment after the release completes, so
-// those owners are left to the garbage collector. ReleaseAll itself keeps
-// the stronger guarantee that duplicate concurrent calls are harmless.
+// qualifies — its state machine calls finish exactly once.) The owner is
+// recycled unless a queued or running continuation still references it
+// (see Owner.pins): a culled waiter's retry or an escalation step may
+// outlive the release walk for a moment, and such a pinned owner is left
+// to the garbage collector instead (PinnedOwners counts them). Whether its
+// requests waited does not matter. ReleaseAll itself keeps the stronger
+// guarantee that duplicate concurrent calls are harmless.
 //
 // Pendings stay valid: the shared granted Pending of a synchronous grant
 // is never reset, and a request's own Pending — which exists only if it
@@ -2699,10 +2752,14 @@ func (m *Manager) FinishOwner(o *Owner) {
 	m.releaseAll(o, true)
 }
 
+// PinnedOwners returns how many owners FinishOwner left to the garbage
+// collector because a continuation still referenced them. Lock-free.
+func (m *Manager) PinnedOwners() int64 { return m.ownersPinned.Load() }
+
 // releaseAll does the work; it reports whether this call performed the
 // release (false when a racing ReleaseAll got there first). recycle is
-// FinishOwner's exclusive-pointer promise: when set (and the owner never
-// waited) the owner is pooled at the end of the walk.
+// FinishOwner's exclusive-pointer promise: when set (and no continuation
+// pins the owner) the owner is pooled at the end of the walk.
 func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	// Release-latency sampling: one in relSampler.Stride() commits pays
 	// for the two clock reads bracketing the walk. The stride counter is
@@ -2752,7 +2809,8 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 			// then released below). Skipped entirely when the shard has
 			// no waiters at all.
 			if len(s.waiting) > 0 {
-				var victims []*request
+				// batch.live is free until releaseShard; borrow it.
+				victims := batch.live[:0]
 				for req := range s.waiting {
 					if req.owner == o {
 						victims = append(victims, req)
@@ -2761,6 +2819,8 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 				for _, req := range victims {
 					m.deny(req, ErrCanceled)
 				}
+				clear(victims)
+				batch.live = victims[:0]
 			}
 			// Re-read the held set for this shard: a wait granted after
 			// the release flag was set landed here under this latch.
@@ -2802,9 +2862,15 @@ func (m *Manager) releaseAll(o *Owner, recycle bool) bool {
 	m.ownersMu.Unlock()
 	m.flushConts()
 
-	if recycle && !o.everWaited {
-		o.resetForReuse()
-		m.ownerPool.Put(o)
+	if recycle {
+		// The walk denied or released every request of the owner, so
+		// only a queued or running continuation can still reach it.
+		if o.pins.Load() == 0 {
+			o.resetForReuse()
+			m.ownerPool.Put(o)
+		} else {
+			m.ownersPinned.Add(1)
+		}
 	}
 	return true
 }
@@ -3081,7 +3147,6 @@ func (m *Manager) deadline() time.Time {
 func (m *Manager) beginWait(req *request) {
 	now := m.clk.Now()
 	req.escaped = true
-	req.owner.everWaited = true
 	if req.waitStart.IsZero() {
 		req.owner.inWait.Add(1)
 	}

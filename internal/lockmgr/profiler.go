@@ -255,6 +255,7 @@ func (m *Manager) LatchProfile() *obs.LatchProf { return m.latchProf }
 func (m *Manager) DumpWaiters() obs.BlameReport {
 	now := m.clk.Now()
 	var edges []obs.BlameEdge
+	var to []*Owner
 	for i := range m.shards {
 		if m.shards[i].nWaiting.Load() == 0 {
 			continue
@@ -264,12 +265,13 @@ func (m *Manager) DumpWaiters() obs.BlameReport {
 			if req.parked || req.culled {
 				continue // parked/culled requests hold no queue position
 			}
-			for _, to := range m.waitEdges(req) {
+			to = m.waitEdges(req, to[:0])
+			for _, h := range to {
 				edges = append(edges, obs.BlameEdge{
 					WaiterID:  req.owner.id,
 					WaiterApp: req.owner.app.id,
-					HolderID:  to.id,
-					HolderApp: to.app.id,
+					HolderID:  h.id,
+					HolderApp: h.app.id,
 					Lock:      req.name.String(),
 					Mode:      req.effectiveMode().String(),
 					WaitNs:    now.Sub(req.waitStart).Nanoseconds(),

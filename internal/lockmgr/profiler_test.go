@@ -1,6 +1,7 @@
 package lockmgr
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -264,11 +265,15 @@ func TestProfilerConcurrentReads(t *testing.T) {
 	m := New(Config{InitialPages: 128, LockTimeout: 5 * time.Second, ObsSampleStride: 8})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// Stopped from t.Cleanup as well, so a failure in the body cannot
+	// leave the goroutines running into later tests.
+	stopAll := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	t.Cleanup(stopAll)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			o := m.NewOwner(m.RegisterApp())
+			app := m.RegisterApp()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -276,10 +281,13 @@ func TestProfilerConcurrentReads(t *testing.T) {
 				default:
 				}
 				// Hot rows shared across goroutines: real waits, enqueues
-				// and flight events.
+				// and flight events, one transaction (and recycled owner)
+				// per lock.
+				o := m.NewOwner(app)
 				p := m.AcquireAsync(o, RowName(1, uint64(i%4)), ModeX, 1)
 				<-p.Done()
-				m.ReleaseAll(o)
+				runtime.Gosched() // hold across a yield: contention even on one P
+				m.FinishOwner(o)
 			}
 		}(g)
 	}
@@ -303,8 +311,10 @@ func TestProfilerConcurrentReads(t *testing.T) {
 		}
 	}()
 	time.Sleep(200 * time.Millisecond)
-	close(stop)
-	wg.Wait()
+	stopAll()
+	if m.Stats().Waits == 0 {
+		t.Fatal("no request ever waited; the readers observed no contention")
+	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

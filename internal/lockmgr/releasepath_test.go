@@ -285,7 +285,11 @@ func TestCommitStormReleasePath(t *testing.T) {
 		invErrMu sync.Mutex
 		invErr   error
 	)
+	// The sweeper is stopped from t.Cleanup as well, so a failure in the
+	// body cannot leave it running into later tests.
 	var sweeperWG sync.WaitGroup
+	stopSweeper := sync.OnceFunc(func() { close(stop); sweeperWG.Wait() })
+	t.Cleanup(stopSweeper)
 	sweeperWG.Add(1)
 	go func() {
 		defer sweeperWG.Done()
@@ -380,9 +384,10 @@ func TestCommitStormReleasePath(t *testing.T) {
 					rel.Wait()
 				} else {
 					// The exactly-once path hands the owner back for
-					// recycling, as the transaction layer does; owners
-					// that ever waited are left to the GC (FinishOwner
-					// checks), so this is safe under the storm.
+					// recycling, as the transaction layer does. FinishOwner
+					// pools it unless a continuation (an escalation step,
+					// a culled waiter's retry) still pins it, so this is
+					// safe under the storm.
 					m.FinishOwner(o)
 				}
 				if inflight != nil {
@@ -394,8 +399,7 @@ func TestCommitStormReleasePath(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	sweeperWG.Wait()
+	stopSweeper()
 
 	invErrMu.Lock()
 	err := invErr
@@ -461,11 +465,11 @@ func TestBoxRecycling(t *testing.T) {
 	}
 }
 
-// TestFinishOwnerRecycling: FinishOwner hands never-waited owners back to
-// the manager's pool, and a recycled owner starts from a clean slate —
-// fresh id, empty held index, cleared touched set. Owners whose requests
-// ever waited are released but not recycled, since continuations may still
-// hold the pointer.
+// TestFinishOwnerRecycling: FinishOwner hands owners back to the
+// manager's pool, and a recycled owner starts from a clean slate — fresh
+// id, empty held index, cleared touched set. An owner whose request waited
+// is recycled like any other; only an owner still pinned by a continuation
+// is left to the garbage collector, and counted.
 func TestFinishOwnerRecycling(t *testing.T) {
 	m := New(Config{InitialPages: 8, Shards: 8})
 	app := m.RegisterApp()
@@ -478,7 +482,7 @@ func TestFinishOwnerRecycling(t *testing.T) {
 			t.Fatalf("round %d: owner id %d not monotonic (last %d)", round, o.id, lastID)
 		}
 		lastID = o.id
-		if o.released || o.held.n != 0 || o.held.m != nil || o.touched0 != 0 || o.ot0used || o.everWaited {
+		if o.released || o.held.n != 0 || o.held.m != nil || o.touched0 != 0 || o.ot0used || o.pins.Load() != 0 {
 			t.Fatalf("round %d: recycled owner not reset: %+v", round, o)
 		}
 		for l := 0; l < 5; l++ {
@@ -495,7 +499,7 @@ func TestFinishOwnerRecycling(t *testing.T) {
 		t.Fatalf("UsedStructs = %d after all owners finished, want 0", got)
 	}
 
-	// An owner that waited is released but kept from the pool.
+	// An owner that waited is reset and goes back to the pool.
 	holder := m.NewOwner(app)
 	if err := m.Acquire(ctx, holder, RowName(2, 1), ModeX, 1); err != nil {
 		t.Fatal(err)
@@ -509,16 +513,44 @@ func TestFinishOwnerRecycling(t *testing.T) {
 	if st, _ := p.Status(); st != StatusGranted {
 		t.Fatalf("waiter status %v after holder release, want granted", st)
 	}
-	if !waiter.everWaited {
-		t.Fatal("waiter owner not marked everWaited")
-	}
 	m.FinishOwner(waiter)
-	if !waiter.released {
-		t.Fatal("FinishOwner did not release the waited owner")
+	if waiter.app != nil || waiter.released || waiter.held.n != 0 || waiter.touched0 != 0 ||
+		waiter.inWait.Load() != 0 {
+		t.Fatalf("waited owner not reset for reuse: %+v", waiter)
 	}
+	if st, err := p.Status(); st != StatusGranted || err != nil {
+		t.Fatalf("waited request's pending after FinishOwner: status=%v err=%v", st, err)
+	}
+	if !raceEnabled { // the race detector's sync.Pool drops items at random
+		// The pool holds the holder and the waiter, so the next two owners
+		// are those two.
+		a, b := m.NewOwner(app), m.NewOwner(app)
+		if a != waiter && b != waiter {
+			t.Fatal("waited owner was not reused by the next NewOwner calls")
+		}
+		m.FinishOwner(a)
+		m.FinishOwner(b)
+	}
+
+	// An owner a continuation still references (a queued culled retry or
+	// escalation step holds a pin) is released but kept from the pool.
+	pinned := m.NewOwner(app)
+	if err := m.Acquire(ctx, pinned, RowName(2, 2), ModeX, 1); err != nil {
+		t.Fatal(err)
+	}
+	pinned.pin()
+	before := m.PinnedOwners()
+	m.FinishOwner(pinned)
+	if pinned.app == nil || !pinned.released {
+		t.Fatal("pinned owner was reset for reuse")
+	}
+	if got := m.PinnedOwners(); got != before+1 {
+		t.Fatalf("PinnedOwners = %d, want %d", got, before+1)
+	}
+	pinned.unpin()
 	// Not recycled: the released flag survives, so a stale pointer stays a
 	// terminal no-op forever.
-	m.ReleaseAll(waiter)
+	m.ReleaseAll(pinned)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,12 @@ func TestStressShardedTable(t *testing.T) {
 	// repatriation, and asserts the exact accounting identity. The pass is
 	// stop-the-world, so it must be paced: an unthrottled loop starves the
 	// workers outright under the race detector on small machines.
+	//
+	// The sweeper is stopped from t.Cleanup as well, so a failure in the
+	// body cannot leave it running into later tests.
 	var sweeperWG sync.WaitGroup
+	stopSweeper := sync.OnceFunc(func() { close(stop); sweeperWG.Wait() })
+	t.Cleanup(stopSweeper)
 	sweeperWG.Add(1)
 	go func() {
 		defer sweeperWG.Done()
@@ -188,8 +193,7 @@ func TestStressShardedTable(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	sweeperWG.Wait()
+	stopSweeper()
 
 	invErrMu.Lock()
 	err := invErr

@@ -18,7 +18,9 @@ package lockmgr
 // pass (post): direct releases, denials, and the release walk's posting
 // pass all refill the active queue from the culled stack as headroom
 // opens, re-running the full admission pipeline via a self-latching
-// continuation (retryCulled, the retryParked shape).
+// continuation (retryCulled, the retryParked shape). The continuation is a
+// typed queue entry, not a closure, and pins the waiter's owner until it
+// has run (Owner.pins), so the owner is never recycled under it.
 // LIFO order is deliberate — the most recently culled waiter's goroutine
 // and cache state are the warmest (Dice & Kogan's "passive set" policy).
 //
@@ -134,9 +136,7 @@ func (m *Manager) maybeCull(s *shard, si int, req *request) bool {
 func (h *lockHeader) removeCulled(req *request) {
 	for i, c := range h.culled {
 		if c == req {
-			copy(h.culled[i:], h.culled[i+1:])
-			h.culled[len(h.culled)-1] = nil
-			h.culled = h.culled[:len(h.culled)-1]
+			h.culled = removeAt(h.culled, i)
 			return
 		}
 	}
@@ -170,15 +170,16 @@ func (m *Manager) reactivateCulled(s *shard, h *lockHeader) {
 // once its queues and culled stack are empty.
 func (m *Manager) popCulled(s *shard, h *lockHeader, i int) {
 	req := h.culled[i]
-	copy(h.culled[i:], h.culled[i+1:])
-	h.culled[len(h.culled)-1] = nil
-	h.culled = h.culled[:len(h.culled)-1]
+	h.culled = removeAt(h.culled, i)
 	req.culled = false
 	req.header = nil
 	h.reactInFlight++
 	m.throtReact.Shard(s.idx).Inc()
 	m.throtLive.Add(-1)
-	m.enqueueCont(func(mm *Manager) { mm.retryCulled(req, h) })
+	// The retry references the owner until it has re-run admission: pin
+	// it, so FinishOwner cannot hand it to another transaction meanwhile.
+	req.owner.pin()
+	m.pushCont(cont{req: req, h: h})
 }
 
 // retryCulled re-runs the admission pipeline for a reactivated culled
@@ -190,6 +191,8 @@ func (m *Manager) popCulled(s *shard, h *lockHeader, i int) {
 // across the window — eviction is pinned by reactInFlight
 // (cacheOrEvictDeferred) — so the decrement through h is safe.
 func (m *Manager) retryCulled(req *request, h *lockHeader) {
+	o := req.owner
+	defer o.unpin() // popCulled's pin; nothing below runs after it
 	si := m.shardOf(req.name)
 	s := m.lockShard(si)
 	if h.reactInFlight > 0 {

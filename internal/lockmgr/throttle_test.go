@@ -373,6 +373,10 @@ func TestThrottleConcurrentHammer(t *testing.T) {
 	stop := make(chan struct{})
 
 	var wg sync.WaitGroup
+	// Stopped from t.Cleanup as well, so a failure in the body cannot
+	// leave the goroutines running into later tests.
+	stopAll := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	t.Cleanup(stopAll)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int) {
@@ -412,8 +416,7 @@ func TestThrottleConcurrentHammer(t *testing.T) {
 	}()
 
 	time.Sleep(150 * time.Millisecond)
-	close(stop)
-	wg.Wait()
+	stopAll()
 	m.SweepTimeouts() // final valve pass for any parked stragglers
 	if got := m.ThrottleLive(); got != 0 {
 		t.Fatalf("live = %d after full drain, want 0", got)

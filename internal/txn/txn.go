@@ -115,7 +115,9 @@ func (t *Txn) State() State { return t.state }
 // RowsLocked returns the number of row-lock acquisitions performed.
 func (t *Txn) RowsLocked() int64 { return t.rowsLocked }
 
-// Owner exposes the underlying lock owner (for diagnostics).
+// Owner exposes the underlying lock owner (for diagnostics). It is nil
+// once the transaction has committed or aborted: the owner goes back to
+// the lock manager for reuse.
 func (t *Txn) Owner() *lockmgr.Owner { return t.owner }
 
 func (t *Txn) finish(to State, committed bool) {
@@ -132,7 +134,10 @@ func (t *Txn) finish(to State, committed bool) {
 	}
 	// finish runs at most once (state guard) and the Txn owns its lock
 	// owner exclusively, so the owner can be handed back for recycling.
+	// The Txn drops it: from here on the owner may serve another
+	// transaction.
 	t.mgr.locks.FinishOwner(t.owner)
+	t.owner = nil
 	t.mgr.active.Add(-1)
 	if committed {
 		t.mgr.commits.Add(1)
@@ -296,10 +301,16 @@ func (op *Op) start() *Op {
 }
 
 // Poll advances the operation and returns its state. Safe to call after
-// completion.
+// completion. An op still in flight when its transaction commits or
+// aborts is denied with ErrNotActive: a finished transaction issues no
+// further request, since its lock owner may already serve another one.
 func (op *Op) Poll() OpState {
 	for {
 		if op.state != OpWaiting {
+			return op.state
+		}
+		if op.txn.state != StateActive {
+			op.state, op.err = OpDenied, ErrNotActive
 			return op.state
 		}
 		st, err := op.pending.Status()

@@ -233,3 +233,47 @@ func TestAcquireTableBlocksAndResolves(t *testing.T) {
 	}
 	tx.Commit()
 }
+
+// TestPollAfterFinishIssuesNoRequest: an op whose intent phase was granted
+// but never polled before its transaction committed must not advance to
+// the row phase afterwards. The transaction's lock owner is recycled at
+// commit, so a row request issued then would lock the row for whichever
+// transaction reuses the owner.
+func TestPollAfterFinishIssuesNoRequest(t *testing.T) {
+	m, lm := newManagers()
+	app := lm.RegisterApp()
+
+	blocker := m.Begin(app)
+	if err := blocker.LockTable(context.Background(), 1, lockmgr.ModeX); err != nil {
+		t.Fatal(err)
+	}
+	tx := m.Begin(app)
+	op := tx.AcquireRow(1, 7, lockmgr.ModeX, 1)
+	if st := op.Poll(); st != OpWaiting {
+		t.Fatalf("intent behind a table X lock: %v, want waiting", st)
+	}
+	blocker.Commit() // grants tx's intent lock; op is not polled
+	tx.Commit()
+	if tx.Owner() != nil {
+		t.Fatal("finished transaction still exposes its lock owner")
+	}
+
+	// The next transactions may reuse tx's owner.
+	next, other := m.Begin(app), m.Begin(app)
+	if st := op.Poll(); st != OpDenied || !errors.Is(op.Err(), ErrNotActive) {
+		t.Fatalf("poll after commit: state=%v err=%v, want denied with ErrNotActive", st, op.Err())
+	}
+	for _, n := range []*Txn{next, other} {
+		if got := lm.HeldMode(n.Owner(), lockmgr.RowName(1, 7)); got != lockmgr.ModeNone {
+			t.Fatalf("a later transaction holds row 7 in %v", got)
+		}
+	}
+	if got := lm.UsedStructs(); got != 0 {
+		t.Fatalf("UsedStructs = %d after the poll, want 0", got)
+	}
+	next.Commit()
+	other.Commit()
+	if err := lm.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
